@@ -25,6 +25,13 @@ printed loudly so a mis-provisioned runner is visible in the log.
 --only parallel-speedup restricts the run to that section (the per-PR
 gate, against a --speedup-only report); everything else is push/nightly
 material.
+
+The A2 entropy-table section carries an absolute ceiling on its wall
+seconds (A2_MAX_SECONDS), printed next to [domains_available]: with the
+attacker's key selection sub-linear the section takes well under a
+second, while the quadratic selection it replaced took 115 s on a
+2-domain VM and 184 s on a 1-domain box, so the ceiling fails on any
+runner width if that cost comes back.
 """
 
 import argparse
@@ -36,6 +43,12 @@ TIGHT = 0.10  # allocation metrics: deterministic, small slack for GC jitter
 # absolute speedup floors vs the jobs=1 row, enforced per job count when
 # the machine has at least that many domains
 SPEEDUP_FLOORS = {2: 1.3, 4: 2.0}
+
+
+# absolute ceiling on the A2 section's wall seconds, enforced at every
+# runner width
+A2_SECTION = "Ablation A2: key entropy under SO (probe-level)"
+A2_MAX_SECONDS = 10.0
 
 
 def load(path):
@@ -85,6 +98,24 @@ def check_parallel_speedup(base, cur, checks, tolerance):
                   "regressed; see lib/par)")
             return 1
         print(f"ok       parallel_speedup/jobs={jobs:g}: {speedup:.2f}x >= {floor:.1f}x")
+    return 0
+
+
+def check_a2_ceiling(cur):
+    """A2's probe-level SO trials must stay cheap. Returns 0/1."""
+    domains = cur.get("domains_available")
+    row = index_by(cur.get("sections", []), "name").get(A2_SECTION)
+    if row is None:
+        print(f"MISSING  section {A2_SECTION!r}: not in current report")
+        return 1
+    seconds = row["seconds"]
+    if seconds > A2_MAX_SECONDS:
+        print(f"FAIL     A2 section: {seconds:.2f} s > ceiling {A2_MAX_SECONDS:.1f} s "
+              f"on {domains:g} domain(s) (attacker key selection regressed; "
+              "see lib/attack/knowledge.ml)")
+        return 1
+    print(f"ok       A2 section: {seconds:.2f} s <= ceiling {A2_MAX_SECONDS:.1f} s "
+          f"on {domains:g} domain(s)")
     return 0
 
 
@@ -153,6 +184,9 @@ def main():
                        False, args.tolerance))
 
     if check_parallel_speedup(base, cur, checks, args.tolerance):
+        return 1
+
+    if check_a2_ceiling(cur):
         return 1
 
     # Adaptive-campaign overhead is self-relative (oblivious-strategy

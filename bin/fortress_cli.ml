@@ -1170,3 +1170,9 @@ let () =
         "fortress-cli: absorption is unreachable from transient state %d; expected lifetime is infinite at this operating point\n"
         state;
       exit 3
+  | exception Invalid_argument msg ->
+      (* an operating point the models reject, e.g. a key space too small
+         for the distinct keys a system draws; same exit code as an
+         uncaught exception, without the backtrace noise *)
+      Printf.eprintf "fortress-cli: invalid argument: %s\n" msg;
+      exit 2

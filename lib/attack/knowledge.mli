@@ -5,7 +5,15 @@
     target is re-randomized (PO), accumulated eliminations become worthless
     and the attacker starts over; this is exactly the sampling
     with/without replacement distinction the paper's models rest on. The
-    attacker detects re-randomization by the target's epoch. *)
+    attacker detects re-randomization by the target's epoch.
+
+    Cost: a guess takes O(1) expected time while more than half the keys
+    are untried, and O(log chi) after that; the first guess past that
+    point builds a per-64-key count index in O(chi), once per epoch.
+    Ruling a key out costs O(1), or O(log chi) once the index exists. A
+    rekey clears the eliminations in place (chi / 8 bytes written, no
+    allocation). Memory: chi / 8 bytes per tracked target, plus chi / 64
+    words once more than half its keys have been eliminated. *)
 
 type t
 
@@ -31,10 +39,13 @@ val next_guess : t -> Fortress_util.Prng.t -> int option
     exhaustion as a graceful outcome. *)
 
 val observe_crash : t -> guess:int -> unit
-(** The probe [guess] crashed the child: that key is ruled out. *)
+(** The probe [guess] crashed the child: that key is ruled out. Ruling a
+    key out twice counts once. Raises [Invalid_argument] when [guess] is
+    not in the key space. *)
 
 val observe_intrusion : t -> guess:int -> unit
-(** The probe succeeded: the key is confirmed. *)
+(** The probe succeeded: the key is confirmed. Raises [Invalid_argument]
+    when [guess] is not in the key space. *)
 
 val on_target_rekeyed : t -> unit
 (** The target re-randomized: all eliminations and any confirmed key are

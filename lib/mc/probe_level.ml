@@ -29,11 +29,24 @@ let default =
 
 let alpha_of cfg = float_of_int cfg.omega /. float_of_int cfg.chi
 
-let validate cfg =
+(* Distinct keys one randomization of [system] draws: the key space must
+   hold them, or drawing them never ends. *)
+let keys_drawn system cfg =
+  match system with
+  | Systems.S0_PO | Systems.S0_SO -> 4
+  | Systems.S1_PO | Systems.S1_SO -> 1
+  | Systems.S2_PO | Systems.S2_SO -> cfg.np + 1
+
+let validate system cfg =
   if cfg.chi < 2 then invalid_arg "Probe_level: chi must be >= 2";
   if cfg.omega < 1 then invalid_arg "Probe_level: omega must be >= 1";
   if cfg.kappa < 0.0 || cfg.kappa > 1.0 then invalid_arg "Probe_level: kappa in [0,1]";
-  if cfg.np < 1 then invalid_arg "Probe_level: np must be >= 1"
+  if cfg.np < 1 then invalid_arg "Probe_level: np must be >= 1";
+  let keys = keys_drawn system cfg in
+  if cfg.chi < keys then
+    invalid_arg
+      (Printf.sprintf "Probe_level: chi must be >= %d for %s (it draws %d distinct keys)" keys
+         (Systems.system_to_string system) keys)
 
 (* Draw a key different from everything in [avoid]. *)
 let rec distinct_key ks prng avoid =
@@ -57,21 +70,21 @@ let one_tier ~nkeys ~fail_at cfg prng =
     done
   in
   assign_keys ();
-  let knowledge = ref (Knowledge.create ks) in
+  let knowledge = Knowledge.create ks in
   let found = Array.make nkeys false in
   let found_count = ref 0 in
   let rec step i =
     if i > cfg.max_steps then None
     else begin
       let compromised = ref false in
-      let budget = min cfg.omega (Knowledge.remaining !knowledge) in
+      let budget = min cfg.omega (Knowledge.remaining knowledge) in
       let m = ref 0 in
       while (not !compromised) && !m < budget do
         incr m;
-        match Knowledge.next_guess !knowledge prng with
+        match Knowledge.next_guess knowledge prng with
         | None -> () (* unreachable: budget <= remaining *)
         | Some guess ->
-            Knowledge.observe_crash !knowledge ~guess;
+            Knowledge.observe_crash knowledge ~guess;
             for n = 0 to nkeys - 1 do
               if (not found.(n)) && keys.(n) = guess then begin
                 found.(n) <- true;
@@ -87,7 +100,7 @@ let one_tier ~nkeys ~fail_at cfg prng =
             (* boundary: fresh diverse keys, attacker knowledge void,
                intruders evicted *)
             assign_keys ();
-            knowledge := Knowledge.create ks;
+            Knowledge.on_target_rekeyed knowledge;
             Array.fill found 0 nkeys false;
             found_count := 0
         | SO -> (* recovery: same keys, knowledge and found keys persist *) ());
@@ -114,8 +127,8 @@ let s2 cfg prng =
     done
   in
   assign_keys ();
-  let proxy_knowledge = ref (Array.init cfg.np (fun _ -> Knowledge.create ks)) in
-  let server_knowledge = ref (Knowledge.create ks) in
+  let proxy_knowledge = Array.init cfg.np (fun _ -> Knowledge.create ks) in
+  let server_knowledge = Knowledge.create ks in
   let owned = Array.make cfg.np false in
   let indirect_budget = int_of_float (Float.round (cfg.kappa *. float_of_int cfg.omega)) in
   let server_found = ref false in
@@ -123,16 +136,16 @@ let s2 cfg prng =
      knowledge pool *)
   let probe_server n =
     let m = ref 0 in
-    while (not !server_found) && !m < n && Knowledge.remaining !server_knowledge > 0 do
+    while (not !server_found) && !m < n && Knowledge.remaining server_knowledge > 0 do
       incr m;
-      match Knowledge.next_guess !server_knowledge prng with
+      match Knowledge.next_guess server_knowledge prng with
       | None -> () (* unreachable: the loop guard checks [remaining] *)
       | Some guess ->
           if guess = !server_key then begin
-            Knowledge.observe_intrusion !server_knowledge ~guess;
+            Knowledge.observe_intrusion server_knowledge ~guess;
             server_found := true
           end
-          else Knowledge.observe_crash !server_knowledge ~guess
+          else Knowledge.observe_crash server_knowledge ~guess
     done
   in
   let rec step i =
@@ -148,7 +161,7 @@ let s2 cfg prng =
                server *)
             probe_server cfg.omega
           else begin
-            let kn = !proxy_knowledge.(j) in
+            let kn = proxy_knowledge.(j) in
             let budget = min cfg.omega (Knowledge.remaining kn) in
             let m = ref 0 in
             let fell_at = ref None in
@@ -181,8 +194,8 @@ let s2 cfg prng =
         (match cfg.mode with
         | PO ->
             assign_keys ();
-            proxy_knowledge := Array.init cfg.np (fun _ -> Knowledge.create ks);
-            server_knowledge := Knowledge.create ks;
+            Array.iter Knowledge.on_target_rekeyed proxy_knowledge;
+            Knowledge.on_target_rekeyed server_knowledge;
             Array.fill owned 0 cfg.np false
         | SO ->
             (* recovery evicts the intruder but keys survive: a learned
@@ -195,7 +208,7 @@ let s2 cfg prng =
   step 1
 
 let lifetime system cfg prng =
-  validate cfg;
+  validate system cfg;
   match system with
   | Systems.S0_PO -> one_tier ~nkeys:4 ~fail_at:2 { cfg with mode = PO } prng
   | Systems.S0_SO -> one_tier ~nkeys:4 ~fail_at:2 { cfg with mode = SO } prng

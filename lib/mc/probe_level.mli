@@ -33,7 +33,9 @@ val lifetime :
   Fortress_model.Systems.system -> config -> Fortress_util.Prng.t -> int option
 (** One end-to-end trial. S0 uses 4 diversely keyed instances probed by a
     shared request stream; S1 one shared key; S2 the full proxy/server key
-    layout with indirect and launch-pad streams. *)
+    layout with indirect and launch-pad streams. Raises [Invalid_argument]
+    on a config out of range, including a [chi] smaller than the distinct
+    keys the system draws: 4 for S0, [np + 1] for S2. *)
 
 val estimate :
   ?sink:Fortress_obs.Sink.t ->

@@ -20,17 +20,44 @@ let test_knowledge_elimination () =
   Alcotest.(check int) "98 left" 98 (Knowledge.remaining k)
 
 let test_knowledge_never_repeats () =
-  let ks = Keyspace.of_size 50 in
+  (* exhaustive sweeps, including sizes on either side of a 64-key block *)
+  List.iter
+    (fun chi ->
+      let ks = Keyspace.of_size chi in
+      let k = Knowledge.create ks in
+      let prng = Prng.create ~seed:1 in
+      let seen = Hashtbl.create 64 in
+      for _ = 1 to chi do
+        let g = Option.get (Knowledge.next_guess k prng) in
+        Alcotest.(check bool) "in the key space" true (Keyspace.contains ks g);
+        Alcotest.(check bool) "fresh guess" false (Hashtbl.mem seen g);
+        Hashtbl.replace seen g ();
+        Knowledge.observe_crash k ~guess:g
+      done;
+      Alcotest.(check int) (Printf.sprintf "chi %d exhausted" chi) 0 (Knowledge.remaining k);
+      Alcotest.(check bool) "then None" true (Knowledge.next_guess k prng = None))
+    [ 2; 50; 63; 64; 65; 1000 ]
+
+let test_knowledge_rejects_foreign_keys () =
+  let ks = Keyspace.of_size 100 in
   let k = Knowledge.create ks in
-  let prng = Prng.create ~seed:1 in
-  let seen = Hashtbl.create 64 in
-  for _ = 1 to 50 do
-    let g = Option.get (Knowledge.next_guess k prng) in
-    Alcotest.(check bool) "fresh guess" false (Hashtbl.mem seen g);
-    Hashtbl.replace seen g ();
-    Knowledge.observe_crash k ~guess:g
-  done;
-  Alcotest.(check int) "space exhausted" 0 (Knowledge.remaining k)
+  Knowledge.observe_crash k ~guess:99;
+  List.iter
+    (fun guess ->
+      Alcotest.check_raises
+        (Printf.sprintf "crash on %d" guess)
+        (Invalid_argument
+           (Printf.sprintf "Knowledge.observe_crash: key %d is outside [0, 100)" guess))
+        (fun () -> Knowledge.observe_crash k ~guess);
+      Alcotest.check_raises
+        (Printf.sprintf "intrusion on %d" guess)
+        (Invalid_argument
+           (Printf.sprintf "Knowledge.observe_intrusion: key %d is outside [0, 100)" guess))
+        (fun () -> Knowledge.observe_intrusion k ~guess))
+    [ -1; 100; 104; max_int ];
+  Alcotest.(check int) "eliminated unchanged" 1 (Knowledge.eliminated k);
+  Alcotest.(check int) "remaining unchanged" 99 (Knowledge.remaining k);
+  Alcotest.(check bool) "no key confirmed" true (Knowledge.known_key k = None)
 
 let test_knowledge_exhaustion_graceful () =
   let ks = Keyspace.of_size 3 in
@@ -69,6 +96,146 @@ let test_knowledge_dense_tail () =
   done;
   let g1 = Option.get (Knowledge.next_guess k prng) in
   Alcotest.(check bool) "one of the remaining two" true (g1 = 8 || g1 = 9)
+
+(* The hash-set implementation the bitset replaced, kept as the oracle for
+   the draw sequence: rejection sampling while more than half the keys are
+   untried, then one draw j and a walk to the j-th untried key. *)
+module Reference_knowledge = struct
+  type t = { ks : Keyspace.t; mutable tried : (int, unit) Hashtbl.t; mutable key : int option }
+
+  let create ks = { ks; tried = Hashtbl.create 64; key = None }
+  let eliminated t = Hashtbl.length t.tried
+  let remaining t = Keyspace.size t.ks - eliminated t
+  let known_key t = t.key
+
+  let next_guess t prng =
+    match t.key with
+    | Some k -> Some k
+    | None ->
+        let n = Keyspace.size t.ks in
+        let left = remaining t in
+        if left <= 0 then None
+        else if left > n / 2 then begin
+          let rec draw () =
+            let g = Prng.int prng ~bound:n in
+            if Hashtbl.mem t.tried g then draw () else g
+          in
+          Some (draw ())
+        end
+        else begin
+          let j = ref (Prng.int prng ~bound:left) in
+          let result = ref (-1) in
+          (try
+             for g = 0 to n - 1 do
+               if not (Hashtbl.mem t.tried g) then begin
+                 if !j = 0 then begin
+                   result := g;
+                   raise Exit
+                 end;
+                 decr j
+               end
+             done
+           with Exit -> ());
+          Some !result
+        end
+
+  let observe_crash t ~guess = Hashtbl.replace t.tried guess ()
+  let observe_intrusion t ~guess = t.key <- Some guess
+
+  let on_target_rekeyed t =
+    t.tried <- Hashtbl.create 64;
+    t.key <- None
+end
+
+type knowledge_op =
+  | Guess_crash  (** draw a guess and rule it out: the common case *)
+  | Guess  (** draw without observing, as a probe still in flight *)
+  | Crash of int  (** rule out an arbitrary key, possibly a repeat *)
+  | Intrusion of int
+  | Rekeyed
+  | Recovered
+
+let pp_knowledge_op = function
+  | Guess_crash -> "guess+crash"
+  | Guess -> "guess"
+  | Crash g -> Printf.sprintf "crash %d" g
+  | Intrusion g -> Printf.sprintf "intrusion %d" g
+  | Rekeyed -> "rekeyed"
+  | Recovered -> "recovered"
+
+let knowledge_case_gen =
+  let open QCheck.Gen in
+  int_range 2 300 >>= fun chi ->
+  let op =
+    frequency
+      [
+        (80, return Guess_crash);
+        (4, return Guess);
+        (8, map (fun g -> Crash g) (int_bound (chi - 1)));
+        (1, map (fun g -> Intrusion g) (int_bound (chi - 1)));
+        (1, return Rekeyed);
+        (3, return Recovered);
+      ]
+  in
+  triple (return chi) (int_bound 1_000_000) (int_range 0 (2 * chi) >>= fun n -> list_repeat n op)
+
+(* Runs [ops] against both implementations; [Some msg] at the first
+   disagreement. *)
+let knowledge_diverges (chi, seed, ops) =
+  let ks = Keyspace.of_size chi in
+  let k = Knowledge.create ks and r = Reference_knowledge.create ks in
+  let pk = Prng.create ~seed and pr = Prng.create ~seed in
+  let guess () =
+    let a = Knowledge.next_guess k pk and b = Reference_knowledge.next_guess r pr in
+    if a <> b then
+      failwith
+        (Printf.sprintf "guess %s vs reference %s"
+           (Option.fold ~none:"None" ~some:string_of_int a)
+           (Option.fold ~none:"None" ~some:string_of_int b));
+    a
+  in
+  let crash g =
+    Knowledge.observe_crash k ~guess:g;
+    Reference_knowledge.observe_crash r ~guess:g
+  in
+  try
+    List.iteri
+      (fun i op ->
+        (match op with
+        | Guess_crash -> Option.iter crash (guess ())
+        | Guess -> ignore (guess ())
+        | Crash g -> crash g
+        | Intrusion g ->
+            Knowledge.observe_intrusion k ~guess:g;
+            Reference_knowledge.observe_intrusion r ~guess:g
+        | Rekeyed ->
+            Knowledge.on_target_rekeyed k;
+            Reference_knowledge.on_target_rekeyed r
+        | Recovered -> Knowledge.on_target_recovered k);
+        if
+          Knowledge.eliminated k <> Reference_knowledge.eliminated r
+          || Knowledge.remaining k <> Reference_knowledge.remaining r
+          || Knowledge.known_key k <> Reference_knowledge.known_key r
+        then failwith (Printf.sprintf "state differs after op %d (%s)" i (pp_knowledge_op op)))
+      ops;
+    None
+  with Failure msg -> Some msg
+
+let knowledge_qcheck_tests =
+  [
+    QCheck.Test.make ~name:"knowledge matches the hash-set reference" ~count:300
+      (QCheck.make
+         ~print:(fun (chi, seed, ops) ->
+           Printf.sprintf "chi=%d seed=%d ops=[%s]" chi seed
+             (String.concat "; " (List.map pp_knowledge_op ops)))
+         ~shrink:(fun (chi, seed, ops) ->
+           QCheck.Iter.map (fun ops -> (chi, seed, ops)) (QCheck.Shrink.list ops))
+         knowledge_case_gen)
+      (fun case ->
+        match knowledge_diverges case with
+        | None -> true
+        | Some msg -> QCheck.Test.fail_report msg);
+  ]
 
 (* ---- Derandomizer against the forking daemon ---- *)
 
@@ -411,7 +578,10 @@ let () =
           Alcotest.test_case "exhaustion graceful" `Quick test_knowledge_exhaustion_graceful;
           Alcotest.test_case "confirmed key semantics" `Quick test_knowledge_confirmed_key_sticks;
           Alcotest.test_case "dense tail sampling" `Quick test_knowledge_dense_tail;
-        ] );
+          Alcotest.test_case "rejects keys outside the space" `Quick
+            test_knowledge_rejects_foreign_keys;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest knowledge_qcheck_tests );
       ( "derandomizer",
         [
           Alcotest.test_case "finds the key" `Quick test_derandomizer_finds_key;

@@ -126,11 +126,69 @@ let test_probe_s2_so_collapses () =
   Alcotest.(check bool) "SO collapses" true (so.Trial.mean < po.Trial.mean /. 2.0)
 
 let test_probe_invalid_config () =
+  let lifetime system cfg () = ignore (Probe_level.lifetime system cfg (Prng.create ~seed:1)) in
   Alcotest.check_raises "chi too small" (Invalid_argument "Probe_level: chi must be >= 2")
+    (lifetime Systems.S1_PO { Probe_level.default with chi = 1 });
+  (* a key space smaller than the distinct keys a system draws would make
+     key assignment loop forever *)
+  let too_few system chi np keys =
+    let cfg = { Probe_level.default with chi; omega = 1; np } in
+    Alcotest.check_raises
+      (Printf.sprintf "%s at chi %d" (Systems.system_to_string system) chi)
+      (Invalid_argument
+         (Printf.sprintf "Probe_level: chi must be >= %d for %s (it draws %d distinct keys)" keys
+            (Systems.system_to_string system) keys))
+      (lifetime system cfg)
+  in
+  too_few Systems.S0_SO 3 3 4;
+  too_few Systems.S0_PO 2 3 4;
+  too_few Systems.S2_PO 3 3 4;
+  too_few Systems.S2_SO 5 5 6;
+  Alcotest.check_raises "estimate rejects it too"
+    (Invalid_argument "Probe_level: chi must be >= 4 for s2po (it draws 4 distinct keys)")
     (fun () ->
       ignore
-        (Probe_level.lifetime Systems.S1_PO { Probe_level.default with chi = 1 }
-           (Prng.create ~seed:1)))
+        (Probe_level.estimate ~trials:2 Systems.S2_PO { Probe_level.default with chi = 3 }));
+  (* the smallest admissible key spaces terminate *)
+  List.iter
+    (fun (system, chi) ->
+      let cfg = { Probe_level.default with chi; omega = 2 } in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s runs at chi %d" (Systems.system_to_string system) chi)
+        true
+        (Probe_level.lifetime system cfg (Prng.create ~seed:1) <> None))
+    [ (Systems.S0_SO, 4); (Systems.S0_PO, 4); (Systems.S1_SO, 2); (Systems.S2_SO, 4);
+      (Systems.S2_PO, 4) ]
+
+(* Probe-level estimates pinned at a fixed seed: any change to the
+   attacker's draw sequence (Knowledge) or to the trial logic moves a mean
+   or a censored count. chi 1000 is not a multiple of 64; a 300-step
+   horizon censors some PO trials. *)
+let probe_pins =
+  [
+    (64, Systems.S0_SO, 3.3499999999999996, 0);
+    (64, Systems.S1_SO, 4.3750000000000009, 0);
+    (64, Systems.S0_PO, 16.750000000000004, 0);
+    (64, Systems.S1_PO, 10.174999999999999, 0);
+    (64, Systems.S2_PO, 12.25, 0);
+    (64, Systems.S2_SO, 3.875, 0);
+    (1000, Systems.S0_SO, 49.899999999999999, 0);
+    (1000, Systems.S1_SO, 63.649999999999991, 0);
+    (1000, Systems.S0_PO, 172.25, 36);
+    (1000, Systems.S1_PO, 111.12820512820512, 1);
+    (1000, Systems.S2_PO, 98.620689655172413, 11);
+    (1000, Systems.S2_SO, 52.57500000000001, 0);
+  ]
+
+let test_probe_pinned_estimates () =
+  List.iter
+    (fun (chi, system, mean, censored) ->
+      let cfg = { Probe_level.default with chi; max_steps = 300 } in
+      let r = Probe_level.estimate ~trials:40 ~seed:2024 system cfg in
+      let name what = Printf.sprintf "%s chi=%d %s" (Systems.system_to_string system) chi what in
+      Alcotest.(check (float 0.0)) (name "mean") mean r.Trial.mean;
+      Alcotest.(check int) (name "censored") censored r.Trial.censored)
+    probe_pins
 
 let qcheck_tests =
   let open QCheck in
@@ -184,6 +242,7 @@ let () =
           Alcotest.test_case "s2po beats s1po" `Slow test_probe_s2_po_beats_s1_po_at_half_kappa;
           Alcotest.test_case "s2so collapses" `Slow test_probe_s2_so_collapses;
           Alcotest.test_case "invalid config" `Quick test_probe_invalid_config;
+          Alcotest.test_case "pinned estimates" `Quick test_probe_pinned_estimates;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]
