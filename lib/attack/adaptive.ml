@@ -1,7 +1,3 @@
-module Deployment = Fortress_core.Deployment
-module Smr_deployment = Fortress_core.Smr_deployment
-module Node_id = Fortress_model.Node_id
-
 module Strategy = struct
   type decide = Observation.t -> Directive.t
 
@@ -9,9 +5,6 @@ module Strategy = struct
     name : string;
     describe : string;
     make : default_kappa:float -> decide;
-        (** build a fresh decide function (with fresh internal state) for
-            one campaign; [default_kappa] is the config value to restore
-            when an override is lifted *)
   }
 
   let oblivious =
@@ -101,72 +94,4 @@ module Strategy = struct
   let builtins = [ oblivious; stale_key_rush; partition_follower; probe_pacer ]
   let names = List.map (fun s -> s.name) builtins
   let find name = List.find_opt (fun s -> s.name = name) builtins
-end
-
-type config = { campaign : Campaign.config; strategy : Strategy.t }
-
-let make_config ?(strategy = Strategy.oblivious) campaign = { campaign; strategy }
-
-type t = { campaign : Campaign.t; strategy : Strategy.t }
-
-let launch deployment (cfg : config) =
-  let campaign = Campaign.launch deployment cfg.campaign in
-  let decide = cfg.strategy.Strategy.make ~default_kappa:cfg.campaign.Campaign.kappa in
-  Campaign.set_boundary_hook campaign ~name:cfg.strategy.Strategy.name (fun obs ->
-      let d = decide obs in
-      if not (Directive.is_unchanged d) then Campaign.stage campaign d);
-  { campaign; strategy = cfg.strategy }
-
-let run_until_compromise t ~max_steps = Campaign.run_until_compromise t.campaign ~max_steps
-let stats t = Campaign.stats t.campaign
-let strategy t = t.strategy
-let campaign t = t.campaign
-
-(* conformance witness: the adaptive wrapper is itself a campaign *)
-module _ : Campaign_intf.S with type t = t and type deployment = Deployment.t and type config = config =
-struct
-  type nonrec t = t
-  type deployment = Deployment.t
-  type nonrec config = config
-
-  let launch = launch
-  let run_until_compromise = run_until_compromise
-  let stats = stats
-end
-
-(* The same wrapper over the 1-tier SMR campaign. Only the exclusion field
-   of a directive acts there, so [partition_follower] is the interesting
-   strategy; the others degrade gracefully to oblivious behaviour. *)
-module Smr = struct
-  type config = { campaign : Smr_campaign.config; strategy : Strategy.t }
-
-  let make_config ?(strategy = Strategy.oblivious) campaign = { campaign; strategy }
-
-  type t = { campaign : Smr_campaign.t; strategy : Strategy.t }
-
-  let launch deployment (cfg : config) =
-    let campaign = Smr_campaign.launch deployment cfg.campaign in
-    let decide = cfg.strategy.Strategy.make ~default_kappa:0.0 in
-    Smr_campaign.set_boundary_hook campaign ~name:cfg.strategy.Strategy.name (fun obs ->
-        let d = decide obs in
-        if not (Directive.is_unchanged d) then Smr_campaign.stage campaign d);
-    { campaign; strategy = cfg.strategy }
-
-  let run_until_compromise t ~max_steps = Smr_campaign.run_until_compromise t.campaign ~max_steps
-  let stats t = Smr_campaign.stats t.campaign
-  let campaign t = t.campaign
-
-  module _ :
-    Campaign_intf.S
-      with type t = t
-       and type deployment = Smr_deployment.t
-       and type config = config = struct
-    type nonrec t = t
-    type deployment = Smr_deployment.t
-    type nonrec config = config
-
-    let launch = launch
-    let run_until_compromise = run_until_compromise
-    let stats = stats
-  end
 end

@@ -1,6 +1,8 @@
-(** The adaptive attacker: an observe–decide–act loop over {!Campaign}.
+(** The adaptive attacker's strategy catalogue.
 
-    Each step boundary the campaign hands the strategy one
+    A strategy closes an observe–decide–act loop over either campaign:
+    pass one to {!Campaign.launch} or {!Smr_campaign.launch} as
+    [~strategy]. Each step boundary the campaign hands the strategy one
     {!Observation.t} assembled from attacker-plausible signals only (probe
     bookkeeping, blocked-source feedback, inferred key staleness, request
     timeouts — see DESIGN.md section 10). The strategy answers with a
@@ -11,7 +13,11 @@
 
     - {!Strategy.oblivious} is bit-identical to the fixed-schedule
       campaign (the regression anchor), and
-    - every strategy is deterministic and job-count invariant. *)
+    - every strategy is deterministic and job-count invariant.
+
+    On the SMR campaign only the exclusion field of a directive acts, so
+    {!Strategy.partition_follower} is the interesting strategy there; the
+    others degrade gracefully to oblivious behaviour. *)
 
 module Strategy : sig
   type decide = Observation.t -> Directive.t
@@ -50,36 +56,4 @@ module Strategy : sig
   val builtins : t list
   val names : string list
   val find : string -> t option
-end
-
-type config = { campaign : Campaign.config; strategy : Strategy.t }
-
-val make_config : ?strategy:Strategy.t -> Campaign.config -> config
-(** Default strategy: {!Strategy.oblivious}. *)
-
-type t
-
-val launch : Fortress_core.Deployment.t -> config -> t
-val run_until_compromise : t -> max_steps:int -> int option
-val stats : t -> Campaign_intf.Stats.t
-val strategy : t -> Strategy.t
-
-val campaign : t -> Campaign.t
-(** The wrapped campaign, e.g. for {!Campaign.settings} introspection. *)
-
-(** The same wrapper over the 1-tier SMR campaign (S0). Only the
-    exclusion field of a directive acts there, so
-    {!Strategy.partition_follower} is the interesting strategy; the
-    others degrade gracefully to oblivious behaviour. *)
-module Smr : sig
-  type config = { campaign : Smr_campaign.config; strategy : Strategy.t }
-
-  val make_config : ?strategy:Strategy.t -> Smr_campaign.config -> config
-
-  type t
-
-  val launch : Fortress_core.Smr_deployment.t -> config -> t
-  val run_until_compromise : t -> max_steps:int -> int option
-  val stats : t -> Campaign_intf.Stats.t
-  val campaign : t -> Smr_campaign.t
 end

@@ -72,10 +72,11 @@ type t = {
   server_track : tracked;  (** servers share one key, so one knowledge pool *)
   proxy_fell_at : int option array;  (** step at which each proxy fell *)
   eff : settings;
-  mutable staged : Directive.t option;
-  mutable boundary_hook : (Observation.t -> unit) option;
-  mutable strategy_name : string;
-  mutable observing : bool;  (** sample the symptom surface during steps *)
+  mutable staged : Directive.t;
+  decide : Adaptive.Strategy.decide option;
+      (** the strategy: observed at boundaries, and probes sample the
+          symptom surface while it is set *)
+  strategy_name : string;  (** tags Directive events; "manual" without a strategy *)
   unreach_seen : bool array;  (** per-proxy timeout symptoms this step *)
   mutable source : Address.t;
   mutable current_step : int;
@@ -107,7 +108,7 @@ let new_source t =
     ~name:(Printf.sprintf "attacker-src%d" t.sources_burned)
     ~handler:(fun ~src:_ _ -> ())
 
-let make deployment cfg =
+let make ?strategy deployment cfg =
   let ks = Deployment.config deployment in
   let keyspace = ks.Deployment.keyspace in
   let np = Array.length (Deployment.proxies deployment) in
@@ -136,10 +137,13 @@ let make deployment cfg =
           launchpad = cfg.launchpad;
           excluded = Array.make (max np 1) false;
         };
-      staged = None;
-      boundary_hook = None;
-      strategy_name = "";
-      observing = false;
+      staged = Directive.unchanged;
+      decide =
+        Option.map
+          (fun s -> s.Adaptive.Strategy.make ~default_kappa:cfg.kappa)
+          strategy;
+      strategy_name =
+        (match strategy with Some s -> s.Adaptive.Strategy.name | None -> "manual");
       unreach_seen = Array.make (max np 1) false;
       source = Address.make 0;
       current_step = 1;
@@ -273,7 +277,7 @@ let redirect_target t j np =
    go unseen forever). Once a timeout has been seen this step the flag is
    monotone and resampling is skipped. Reads only; no PRNG, no events. *)
 let sample_unreach t j =
-  if t.observing && not t.unreach_seen.(j) then
+  if Option.is_some t.decide && not t.unreach_seen.(j) then
     if
       Fortress_core.Symptom.is_unreachable
         (Deployment.symptoms t.deployment)
@@ -380,31 +384,7 @@ let indirect_probe_slot t =
 
 (* ---- observe / decide / act plumbing ---- *)
 
-let stage t directive =
-  if not (Directive.is_unchanged directive) then
-    t.staged <-
-      Some
-        (match t.staged with
-        | None -> directive
-        | Some prev ->
-            (* later stages win field-wise within the same step *)
-            {
-              Directive.kappa =
-                (match directive.Directive.kappa with Some _ as k -> k | None -> prev.Directive.kappa);
-              exclude =
-                (match directive.Directive.exclude with Some _ as e -> e | None -> prev.Directive.exclude);
-              pacing =
-                (match directive.Directive.pacing with Some _ as p -> p | None -> prev.Directive.pacing);
-              launchpad =
-                (match directive.Directive.launchpad with
-                | Some _ as l -> l
-                | None -> prev.Directive.launchpad);
-            })
-
-let set_boundary_hook t ~name hook =
-  t.boundary_hook <- Some hook;
-  t.strategy_name <- name;
-  t.observing <- true
+let stage t directive = t.staged <- Directive.merge t.staged directive
 
 (* Assemble what the attacker saw during the step that just completed.
    Pure reads and arithmetic only: no PRNG, no events. *)
@@ -455,9 +435,9 @@ let reset_step_marks t =
    setting actually moved. *)
 let apply_staged t =
   match t.staged with
-  | None -> ()
-  | Some d ->
-      t.staged <- None;
+  | d when Directive.is_unchanged d -> ()
+  | d ->
+      t.staged <- Directive.unchanged;
       let np = Array.length (Deployment.proxies t.deployment) in
       let changed = ref [] in
       let note what = changed := what :: !changed in
@@ -513,7 +493,7 @@ let apply_staged t =
           (Event.Directive
              {
                step = t.current_step;
-               strategy = (if t.strategy_name = "" then "manual" else t.strategy_name);
+               strategy = t.strategy_name;
                detail = String.concat ", " (List.rev !changed);
              })
       end
@@ -548,12 +528,12 @@ let arm t =
       ignore
         (Engine.schedule_at engine ~time:(base +. t.cfg.period) (fun () ->
              Engine.finish_span engine step_span;
-             (match t.boundary_hook with
-             | Some hook ->
+             Option.iter
+               (fun decide ->
                  let obs = observe t in
                  reset_step_marks t;
-                 hook obs
-             | None -> ());
+                 stage t (decide obs))
+               t.decide;
              t.current_step <- t.current_step + 1;
              apply_staged t;
              arm_step ()))
@@ -561,10 +541,10 @@ let arm t =
   in
   arm_step ()
 
-let launch deployment cfg =
+let launch ?strategy deployment cfg =
   if cfg.omega <= 0 then invalid_arg "Campaign.launch: omega must be positive";
   if cfg.kappa < 0.0 || cfg.kappa > 1.0 then invalid_arg "Campaign.launch: kappa in [0,1]";
-  let t = make deployment cfg in
+  let t = make ?strategy deployment cfg in
   arm t;
   t
 
@@ -616,15 +596,3 @@ let effective_kappa t =
   let intended = t.cfg.kappa *. float_of_int t.cfg.omega *. float_of_int t.current_step in
   if intended <= 0.0 then 0.0
   else float_of_int (t.indirect_sent - t.indirect_blocked) /. intended
-
-(* conformance witness: Campaign implements the shared surface *)
-module _ : Campaign_intf.S with type t = t and type deployment = Deployment.t and type config = config =
-struct
-  type nonrec t = t
-  type deployment = Deployment.t
-  type nonrec config = config
-
-  let launch = launch
-  let run_until_compromise = run_until_compromise
-  let stats = stats
-end

@@ -21,17 +21,19 @@
     The campaign ends when {!Fortress_core.Deployment.system_compromised}
     first holds; the step index at that moment is the system's lifetime.
 
-    {2 Adaptive hooks}
+    {2 Adaptive attackers}
 
-    An adaptive attacker (see {!Adaptive}) plugs into the campaign through
-    three narrow points: {!set_boundary_hook} delivers one
-    {!Observation.t} per completed step, {!stage} queues a {!Directive.t},
-    and staged directives are folded into the live settings {e only at the
-    next step boundary}. Between boundaries the schedule is exactly the
-    fixed one, which keeps adaptive runs deterministic and job-count
-    invariant. A campaign with no hook and no staged directive is
-    bit-identical — every event, PRNG draw, and schedule time — to the
-    fixed-schedule attacker. *)
+    Launch with [~strategy] (an {!Adaptive.Strategy.t}) to close the
+    observe–decide–act loop: at each step boundary the campaign hands the
+    strategy one {!Observation.t} and {!stage}s the {!Directive.t} it
+    answers with. Staged directives are folded into the live settings
+    {e only at the next step boundary}. Between boundaries the schedule is
+    exactly the fixed one, which keeps adaptive runs deterministic and
+    job-count invariant. A campaign launched without a strategy installs
+    no hook and samples no symptoms; with no staged directive either, it
+    is bit-identical — every event, PRNG draw, and schedule time — to the
+    fixed-schedule attacker, and so is one running
+    {!Adaptive.Strategy.oblivious}. *)
 
 type launchpad = Directive.launchpad = Within_step | Next_step
 
@@ -70,10 +72,17 @@ val make_config :
 
 type t
 
-val launch : Fortress_core.Deployment.t -> config -> t
+val launch : ?strategy:Adaptive.Strategy.t -> Fortress_core.Deployment.t -> config -> t
 (** Arm the campaign on the deployment's engine; run the engine to make it
     progress. Raises [Invalid_argument] unless [omega > 0] and
-    [kappa] is in [0,1]. *)
+    [kappa] is in [0,1].
+
+    With [~strategy], each boundary builds an {!Observation.t} and stages
+    the strategy's answer; the strategy's name tags the
+    {!Fortress_obs.Event.Directive} events. It also turns on mid-step
+    symptom sampling: pure reads of the deployment's
+    {{!Fortress_core.Deployment.symptoms} symptom surface} at probe times,
+    since partition windows can heal before the boundary. *)
 
 val run_until_compromise : t -> max_steps:int -> int option
 (** Drive the engine until the system is compromised or [max_steps] whole
@@ -93,24 +102,16 @@ val effective_kappa : t -> float
 (** Delivered indirect probes over [kappa * omega * steps]: how much of the
     attacker's intended indirect rate survived proxy detection. *)
 
-(** {2 Observe–decide–act plumbing}
+(** {2 Staging directives}
 
-    Used by {!Adaptive}; exposed so tests can assert the boundary-only
-    application property directly. *)
-
-val set_boundary_hook : t -> name:string -> (Observation.t -> unit) -> unit
-(** Install the per-boundary observer. [name] tags emitted
-    {!Fortress_obs.Event.Directive} events. Installing a hook also turns
-    on mid-step symptom sampling (pure reads of the deployment's
-    {{!Fortress_core.Deployment.symptoms} symptom surface} at
-    probe times — partition windows can heal before the boundary, so
-    sampling must ride the probes). *)
+    Used by the [~strategy] loop; exposed so tests can assert the
+    boundary-only application property directly. *)
 
 val stage : t -> Directive.t -> unit
 (** Queue a directive for the next step boundary. Staging
     {!Directive.unchanged} is a no-op; staging twice in one step merges
-    field-wise with the later stage winning. Nothing changes until the
-    boundary. *)
+    field-wise with the later stage winning ({!Directive.merge}). Nothing
+    changes until the boundary. *)
 
 type live_settings = {
   kappa : float;

@@ -1,12 +1,7 @@
-(** The shared campaign surface.
+(** The counters both campaigns report.
 
-    Every campaign flavour — the fixed-schedule FORTRESS {!Campaign}, the
-    SMR {!Smr_campaign}, and the adaptive observe–decide–act {!Adaptive}
-    wrapper — implements {!S}: launch on a deployment, drive to compromise
-    or a horizon, and report one {!Stats} record. Experiments program
-    against this signature instead of pattern-matching on concrete
-    modules; the six per-counter getters the modules used to export are
-    replaced by the single [stats] projection. *)
+    {!Campaign} and {!Smr_campaign} each expose one [stats] projection
+    onto {!Stats.t}, with or without an adaptive strategy. *)
 
 module Stats = struct
   type t = {
@@ -48,20 +43,4 @@ module Stats = struct
       (match s.compromised_at_step with
       | Some step -> Printf.sprintf ", compromised at step %d" step
       | None -> "")
-end
-
-module type S = sig
-  type t
-  type deployment
-  type config
-
-  val launch : deployment -> config -> t
-  (** Arm the campaign on the deployment's engine; run the engine to make
-      it progress. *)
-
-  val run_until_compromise : t -> max_steps:int -> int option
-  (** Drive the engine until the system is compromised or [max_steps]
-      whole steps have elapsed. Returns the 1-based step of compromise. *)
-
-  val stats : t -> Stats.t
 end

@@ -23,6 +23,16 @@ let is_unchanged d = d = unchanged
 
 let make ?kappa ?exclude ?pacing ?launchpad () = { kappa; exclude; pacing; launchpad }
 
+(* Two directives staged in one step: the later one wins field-wise. *)
+let merge earlier later =
+  let pick a b = match a with Some _ -> a | None -> b in
+  {
+    kappa = pick later.kappa earlier.kappa;
+    exclude = pick later.exclude earlier.exclude;
+    pacing = pick later.pacing earlier.pacing;
+    launchpad = pick later.launchpad earlier.launchpad;
+  }
+
 let to_string d =
   if is_unchanged d then "unchanged"
   else

@@ -28,10 +28,11 @@ type t = {
   prng : Prng.t;
   tracks : tracked array;
   excluded : bool array;
-  mutable staged : Directive.t option;
-  mutable boundary_hook : (Observation.t -> unit) option;
-  mutable strategy_name : string;
-  mutable observing : bool;
+  mutable staged : Directive.t;
+  decide : Adaptive.Strategy.decide option;
+      (** the strategy: observed at boundaries, and probes sample the
+          symptom surface while it is set *)
+  strategy_name : string;  (** tags Directive events; "manual" without a strategy *)
   unreach_seen : bool array;
   mutable redirect : int;
   mutable current_step : int;
@@ -44,7 +45,7 @@ type t = {
   mutable stale_steps : int;
 }
 
-let make deployment cfg =
+let make ?strategy deployment cfg =
   let instances = Smr_deployment.instances deployment in
   let tracks =
     Array.map
@@ -63,10 +64,12 @@ let make deployment cfg =
     prng = Prng.create ~seed:cfg.seed;
     tracks;
     excluded = Array.make (max n 1) false;
-    staged = None;
-    boundary_hook = None;
-    strategy_name = "";
-    observing = false;
+    staged = Directive.unchanged;
+    (* S0 has no indirect channel, so there is no configured kappa to
+       restore *)
+    decide = Option.map (fun s -> s.Adaptive.Strategy.make ~default_kappa:0.0) strategy;
+    strategy_name =
+      (match strategy with Some s -> s.Adaptive.Strategy.name | None -> "manual");
     unreach_seen = Array.make (max n 1) false;
     redirect = 0;
     current_step = 1;
@@ -132,7 +135,7 @@ let probe_replica t i =
   if t.compromised_at = None then begin
     let n = Array.length (Smr_deployment.instances t.deployment) in
     (* each probe is its own liveness check (see Campaign.sample_unreach) *)
-    if t.observing && not t.unreach_seen.(i) then
+    if Option.is_some t.decide && not t.unreach_seen.(i) then
       if
         Fortress_core.Symptom.is_unreachable
           (Smr_deployment.symptoms t.deployment)
@@ -144,25 +147,7 @@ let probe_replica t i =
 
 (* ---- observe / decide / act plumbing (mirrors Campaign) ---- *)
 
-let stage t directive =
-  if not (Directive.is_unchanged directive) then
-    t.staged <-
-      Some
-        (match t.staged with
-        | None -> directive
-        | Some prev ->
-            {
-              Directive.kappa = prev.Directive.kappa;
-              exclude =
-                (match directive.Directive.exclude with Some _ as e -> e | None -> prev.Directive.exclude);
-              pacing = prev.Directive.pacing;
-              launchpad = prev.Directive.launchpad;
-            })
-
-let set_boundary_hook t ~name hook =
-  t.boundary_hook <- Some hook;
-  t.strategy_name <- name;
-  t.observing <- true
+let stage t directive = t.staged <- Directive.merge t.staged directive
 
 let observe t =
   let n = Array.length (Smr_deployment.instances t.deployment) in
@@ -197,9 +182,9 @@ let reset_step_marks t =
    other directive fields are silently inert here. *)
 let apply_staged t =
   match t.staged with
-  | None -> ()
-  | Some d ->
-      t.staged <- None;
+  | d when Directive.is_unchanged d -> ()
+  | d ->
+      t.staged <- Directive.unchanged;
       (match d.Directive.exclude with
       | Some nodes ->
           let n = Array.length (Smr_deployment.instances t.deployment) in
@@ -222,7 +207,7 @@ let apply_staged t =
               (Event.Directive
                  {
                    step = t.current_step;
-                   strategy = (if t.strategy_name = "" then "manual" else t.strategy_name);
+                   strategy = t.strategy_name;
                    detail =
                      (if !named = [] then "exclude=none"
                       else "exclude=replica" ^ String.concat "+replica" !named);
@@ -245,12 +230,12 @@ let arm t =
       done;
       ignore
         (Engine.schedule_at engine ~time:(base +. t.cfg.period) (fun () ->
-             (match t.boundary_hook with
-             | Some hook ->
+             Option.iter
+               (fun decide ->
                  let obs = observe t in
                  reset_step_marks t;
-                 hook obs
-             | None -> ());
+                 stage t (decide obs))
+               t.decide;
              t.current_step <- t.current_step + 1;
              apply_staged t;
              arm_step ()))
@@ -258,9 +243,9 @@ let arm t =
   in
   arm_step ()
 
-let launch deployment cfg =
+let launch ?strategy deployment cfg =
   if cfg.omega <= 0 then invalid_arg "Smr_campaign.launch: omega must be positive";
-  let t = make deployment cfg in
+  let t = make ?strategy deployment cfg in
   arm t;
   t
 
@@ -295,18 +280,3 @@ let excluded_replicas t =
     if t.excluded.(i) then out := i :: !out
   done;
   !out
-
-(* conformance witness: Smr_campaign implements the shared surface *)
-module _ :
-  Campaign_intf.S
-    with type t = t
-     and type deployment = Smr_deployment.t
-     and type config = config = struct
-  type nonrec t = t
-  type deployment = Smr_deployment.t
-  type nonrec config = config
-
-  let launch = launch
-  let run_until_compromise = run_until_compromise
-  let stats = stats
-end

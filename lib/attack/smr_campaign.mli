@@ -9,11 +9,11 @@
     first still stands. Run together with
     {!Fortress_core.Smr_deployment.attach_schedule}.
 
-    Supports the same observe–decide–act plumbing as {!Campaign}
-    ({!set_boundary_hook}, {!stage}); since S0 has no indirect channel,
-    only the exclusion field of a {!Directive.t} acts — the others are
-    inert. A campaign with no hook and no staged directive is
-    bit-identical to the fixed-schedule attacker. *)
+    Takes the same [?strategy] as {!Campaign.launch} and stages directives
+    the same way ({!stage}); since S0 has no indirect channel, only the
+    exclusion field of a {!Directive.t} acts — the others are inert. A
+    campaign with no strategy and no staged directive is bit-identical to
+    the fixed-schedule attacker. *)
 
 type config = {
   omega : int;
@@ -37,7 +37,11 @@ val make_config :
 
 type t
 
-val launch : Fortress_core.Smr_deployment.t -> config -> t
+val launch : ?strategy:Adaptive.Strategy.t -> Fortress_core.Smr_deployment.t -> config -> t
+(** Arm the campaign on the deployment's engine. With [~strategy], each
+    boundary stages the strategy's answer to one {!Observation.t}, and
+    reachability is sampled at probe times. *)
+
 val run_until_compromise : t -> max_steps:int -> int option
 
 val stats : t -> Campaign_intf.Stats.t
@@ -46,10 +50,6 @@ val stats : t -> Campaign_intf.Stats.t
     to export. *)
 
 val current_step : t -> int
-
-val set_boundary_hook : t -> name:string -> (Observation.t -> unit) -> unit
-(** Install the per-boundary observer; also turns on mid-step reachability
-    sampling at probe times. *)
 
 val stage : t -> Directive.t -> unit
 (** Queue a directive for the next step boundary; only the [exclude] field

@@ -5,7 +5,7 @@
     drives a stack from the outside — the {!Defense_control} wiring, the
     fault-injection experiment loop, and the [fortress_load] workload
     plane — is written once against the signature instead of twice per
-    stack, mirroring the attack layer's [Campaign_intf.S].
+    stack.
 
     The signature covers the four surfaces an external driver needs:
 

@@ -1,7 +1,8 @@
 (** The adaptive defender: an observe–decide–act loop closing the control
     loop the telemetry plane opened.
 
-    The mirror of [Fortress_attack.Adaptive] on the defense side. Each
+    The mirror of the attacker's strategy loop
+    ([Fortress_attack.Campaign.launch ~strategy]) on the defense side. Each
     controller boundary (aligned with the obfuscation period) a
     {!Defense_observation.t} is assembled from the {!Fortress_obs.Signal}
     query API — defender-visible detectors only — and handed to the

@@ -10,8 +10,8 @@
     the per-trial digests in trial-index order; identical (plan, seed,
     config) reproduce it bit for bit, at any job count.
 
-    Passing [?strategy] swaps the fixed-schedule attacker for the
-    {!Fortress_attack.Adaptive} observe–decide–act loop; the report then
+    Passing [?strategy] lets that {!Fortress_attack.Adaptive.Strategy}
+    steer the campaign's observe–decide–act loop; the report then
     carries an {!adapt} section comparing the strategy against the
     oblivious reference on the same paired seeds. Passing [?defender]
     symmetrically arms a {!Fortress_defense.Controller} over the trial's
@@ -115,7 +115,7 @@ val run_smr_plan :
   Fortress_faults.Plan.t ->
   run
 (** The same plan folded onto the 1-tier SMR stack (S0) by
-    {!Fortress_faults.Smr_wiring}. Without {!config.load} this path runs
+    {!Fortress_faults.Wiring.smr}. Without {!config.load} this path runs
     no client at all, so [availability] is [None]; with a load spec the
     workload plane drives the replicas and availability is measured, not
     fabricated. The defender steers the batched schedule through the

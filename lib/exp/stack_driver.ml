@@ -9,7 +9,6 @@ module Adaptive = Fortress_attack.Adaptive
 module Stats = Fortress_attack.Campaign_intf.Stats
 module Plan = Fortress_faults.Plan
 module Wiring = Fortress_faults.Wiring
-module Smr_wiring = Fortress_faults.Smr_wiring
 module Injector = Fortress_faults.Injector
 
 module type S = sig
@@ -54,8 +53,9 @@ module Fortress : S = struct
 
   let install_plan t plan ~seed =
     let handle =
-      Wiring.install plan ~deployment:(deployment t)
-        ~obfuscation:(require_obfuscation t) ~seed ()
+      Wiring.install plan
+        (Wiring.fortress ~obfuscation:(require_obfuscation t) (deployment t))
+        ~seed
     in
     fun () -> Wiring.stats handle
 
@@ -65,20 +65,13 @@ module Fortress : S = struct
   let default_workload = true
 
   let run_campaign ?strategy t ~omega ~kappa ~period ~seed ~max_steps ~directives =
-    let attack_cfg = Campaign.make_config ~omega ~kappa ~period ~seed () in
-    match strategy with
-    | None ->
-        (* the legacy fixed-schedule path, kept separate so its byte-trace
-           never depends on the adaptive plumbing *)
-        let campaign = Campaign.launch (deployment t) attack_cfg in
-        Campaign.run_until_compromise campaign ~max_steps
-    | Some strategy ->
-        let adaptive =
-          Adaptive.launch (deployment t) (Adaptive.make_config ~strategy attack_cfg)
-        in
-        let lifetime = Adaptive.run_until_compromise adaptive ~max_steps in
-        directives := !directives + (Adaptive.stats adaptive).Stats.directives_applied;
-        lifetime
+    let campaign =
+      Campaign.launch ?strategy (deployment t)
+        (Campaign.make_config ~omega ~kappa ~period ~seed ())
+    in
+    let lifetime = Campaign.run_until_compromise campaign ~max_steps in
+    directives := !directives + (Campaign.stats campaign).Stats.directives_applied;
+    lifetime
 end
 
 module Smr : S = struct
@@ -100,10 +93,9 @@ module Smr : S = struct
 
   let install_plan t plan ~seed =
     let handle =
-      Smr_wiring.install plan ~deployment:(deployment t) ~schedule:(require_schedule t)
-        ~seed ()
+      Wiring.install plan (Wiring.smr ~schedule:(require_schedule t) (deployment t)) ~seed
     in
-    fun () -> Smr_wiring.stats handle
+    fun () -> Wiring.stats handle
 
   let attach_defense t strategy =
     Defense_control.attach_stack (module Fortress_core.Smr_stack) t strategy
@@ -111,16 +103,11 @@ module Smr : S = struct
   let default_workload = false
 
   let run_campaign ?strategy t ~omega ~kappa:_ ~period ~seed ~max_steps ~directives =
-    let attack_cfg = Smr_campaign.make_config ~omega ~period ~seed () in
-    match strategy with
-    | None ->
-        let campaign = Smr_campaign.launch (deployment t) attack_cfg in
-        Smr_campaign.run_until_compromise campaign ~max_steps
-    | Some strategy ->
-        let adaptive =
-          Adaptive.Smr.launch (deployment t) (Adaptive.Smr.make_config ~strategy attack_cfg)
-        in
-        let lifetime = Adaptive.Smr.run_until_compromise adaptive ~max_steps in
-        directives := !directives + (Adaptive.Smr.stats adaptive).Stats.directives_applied;
-        lifetime
+    let campaign =
+      Smr_campaign.launch ?strategy (deployment t)
+        (Smr_campaign.make_config ~omega ~period ~seed ())
+    in
+    let lifetime = Smr_campaign.run_until_compromise campaign ~max_steps in
+    directives := !directives + (Smr_campaign.stats campaign).Stats.directives_applied;
+    lifetime
 end

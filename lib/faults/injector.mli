@@ -3,8 +3,8 @@
     Generic over the network's message type: corruption is flagged on the
     verdict and resolved by the network's corrupter (see
     {!Fortress_net.Network.set_corrupter}), so this module needs no
-    knowledge of the payload. {!Wiring} installs the FORTRESS-specific
-    corrupter and the timeline on top. *)
+    knowledge of the payload. {!Wiring} installs each stack's corrupter
+    and the timeline on top. *)
 
 type stats = {
   mutable dropped : int;

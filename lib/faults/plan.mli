@@ -9,8 +9,9 @@
     and a global scheduling slowdown.
 
     Plans are pure data; {!Wiring.install} compiles one onto a live
-    FORTRESS deployment. Identical (plan, seed) pairs reproduce bit-equal
-    traces — nothing in a plan consults wall-clock time or global state. *)
+    deployment of either stack, FORTRESS or the S0 SMR baseline. Identical
+    (plan, seed) pairs reproduce bit-equal traces — nothing in a plan
+    consults wall-clock time or global state. *)
 
 type link = {
   drop : float;  (** per-message loss probability added by the fault layer *)
@@ -36,8 +37,9 @@ type target = Fortress_model.Node_id.t =
   | Nameserver
 (** Re-export of {!Fortress_model.Node_id.t}: plans, attacker observations
     and trace events share one node-naming scheme. [Server]/[Proxy] name
-    FORTRESS nodes, [Replica] names an SMR node; each wiring rejects
-    targets its deployment flavour does not have. *)
+    FORTRESS nodes, [Replica] names an SMR node. {!Wiring.fortress}
+    rejects [Replica] targets; {!Wiring.smr} folds every target onto its
+    single replica tier. *)
 
 val target_to_string : target -> string
 (** Alias of {!Fortress_model.Node_id.to_string} — the exact strings trace
@@ -80,7 +82,7 @@ val validate : t -> unit
     rate and adds mid-step partition windows; [crashy] adds server crashes
     timed to miss rekey boundaries (stale keys survive) and proxy crashes
     that forget blocklists; [chaos] turns everything up and wedges the
-    rekey daemon one boundary in four. *)
+    rekey daemon for good from t = 140. *)
 
 val none : t
 val lossy : t

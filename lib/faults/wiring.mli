@@ -1,30 +1,56 @@
-(** Bind a fault plan to a live FORTRESS deployment.
+(** Bind a fault plan to a live deployment of either stack.
 
-    Installs the link interceptor and Message corrupter on the deployment's
-    network, schedules every timeline entry on the engine (via absolute
-    [schedule_at], so the fault timeline itself is exempt from its own
-    slowdown), and routes crash / restart / stall actions into the
-    deployment and obfuscation hooks. *)
+    One interpreter drives both stacks. It installs the link interceptor
+    and the stack's corrupter on the network, schedules every timeline
+    entry on the engine (via absolute [schedule_at], so the fault timeline
+    itself is exempt from its own slowdown), and routes crash / restart /
+    stall actions into the deployment. The per-stack facts live in the
+    two constructors, {!fortress} and {!smr}; like {!Injector}, the rest
+    is generic over the network's message type. *)
 
-type handle
+type 'msg deployment
+(** A deployment as the interpreter sees it: engine, network, corrupter,
+    how plan targets resolve, and the crash / restart / stall switches. *)
 
-val install :
-  Plan.t ->
-  deployment:Fortress_core.Deployment.t ->
+val fortress :
   ?obfuscation:Fortress_core.Obfuscation.t ->
-  seed:int ->
-  unit ->
-  handle
-(** Validates the plan (including that every named node exists in this
-    deployment) before touching anything. [seed] drives the injector's own
-    salted PRNG — it does not perturb the engine's stream, so a faulted run
-    samples the same organic randomness as the baseline. Pass
+  Fortress_core.Deployment.t ->
+  Fortress_core.Message.t deployment
+(** The FORTRESS stack: [Server i] and [Proxy i] name its nodes and
+    [Nameserver] its directory; a [Replica] target is rejected. Pass
     [?obfuscation] to let [Stall_obfuscation] actions reach the rekey
     daemon; without it they emit their events but wedge nothing. *)
 
-val stats : handle -> Injector.stats
+val smr :
+  ?schedule:Fortress_core.Smr_deployment.schedule ->
+  Fortress_core.Smr_deployment.t ->
+  Fortress_replication.Smr.msg deployment
+(** The 1-tier SMR stack (S0). Every plan target folds onto its single
+    replica tier:
 
-val uninstall : handle -> unit
-(** Remove the interceptors, restore engine speed, unwedge the daemon and
-    stop future timeline firings (in-flight scheduled entries become
-    no-ops). Already-applied crashes and partitions are {e not} undone. *)
+    - [Server i] and [Replica i] map to replica [i];
+    - [Proxy i] (the plan's front tier) folds onto the tail end,
+      [Replica (n - 1 - i)], so a partition plan that separates the front
+      from the back on S2 isolates a minority on S0;
+    - crashing or restarting the [Nameserver] is {e skipped} with a
+      visible [skip] fault event (S0 has no directory), not rejected.
+
+    [Stall_obfuscation] / [Resume_obfuscation] act on [?schedule] when
+    one is passed. *)
+
+type 'msg handle
+
+val install : Plan.t -> 'msg deployment -> seed:int -> 'msg handle
+(** Validates the plan (including that every named node exists in, or
+    folds onto, this deployment) before touching anything. [seed] drives
+    the injector's own salted PRNG — it does not perturb the engine's
+    stream, so a faulted run samples the same organic randomness as the
+    baseline, on either stack. *)
+
+val stats : 'msg handle -> Injector.stats
+
+val uninstall : 'msg handle -> unit
+(** Remove the interceptor and corrupter, restore engine speed, unwedge
+    the daemon and stop future timeline firings (in-flight scheduled
+    entries become no-ops). Already-applied crashes and partitions are
+    {e not} undone. *)

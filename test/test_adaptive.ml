@@ -90,9 +90,9 @@ let prop_directive_applies_only_at_boundary =
       let d = observed_deployment () in
       ignore (Obfuscation.attach d ~mode:Obfuscation.PO ~period:100.0);
       let c =
-        Campaign.launch d (Campaign.make_config ~omega:4 ~kappa:0.5 ~period:100.0 ~seed:7 ())
+        Campaign.launch ~strategy:Adaptive.Strategy.oblivious d
+          (Campaign.make_config ~omega:4 ~kappa:0.5 ~period:100.0 ~seed:7 ())
       in
-      Campaign.set_boundary_hook c ~name:"qcheck" (fun _ -> ());
       let engine = Deployment.engine d in
       let module Engine = Fortress_sim.Engine in
       (* run into step 1, stage at [offset], check unchanged through the
@@ -111,9 +111,9 @@ let test_staged_directive_merges_last_wins () =
   let d = observed_deployment () in
   ignore (Obfuscation.attach d ~mode:Obfuscation.PO ~period:100.0);
   let c =
-    Campaign.launch d (Campaign.make_config ~omega:4 ~kappa:0.5 ~period:100.0 ~seed:7 ())
+    Campaign.launch ~strategy:Adaptive.Strategy.oblivious d
+      (Campaign.make_config ~omega:4 ~kappa:0.5 ~period:100.0 ~seed:7 ())
   in
-  Campaign.set_boundary_hook c ~name:"merge" (fun _ -> ());
   let engine = Deployment.engine d in
   let module Engine = Fortress_sim.Engine in
   Engine.run ~until:(Engine.now engine +. 10.0) engine;
@@ -128,17 +128,57 @@ let test_staged_directive_merges_last_wins () =
 let test_oblivious_campaign_settings_never_move () =
   let d = observed_deployment () in
   ignore (Obfuscation.attach d ~mode:Obfuscation.PO ~period:100.0);
-  let a =
-    Adaptive.launch d
-      (Adaptive.make_config ~strategy:Adaptive.Strategy.oblivious
-         (Campaign.make_config ~omega:4 ~kappa:0.5 ~period:100.0 ~seed:7 ()))
+  let c =
+    Campaign.launch ~strategy:Adaptive.Strategy.oblivious d
+      (Campaign.make_config ~omega:4 ~kappa:0.5 ~period:100.0 ~seed:7 ())
   in
-  ignore (Adaptive.run_until_compromise a ~max_steps:20);
-  let s = Campaign.settings (Adaptive.campaign a) in
+  ignore (Campaign.run_until_compromise c ~max_steps:20);
+  let s = Campaign.settings c in
   Alcotest.(check (float 1e-9)) "kappa untouched" 0.5 s.Campaign.kappa;
   Alcotest.(check bool) "no exclusions" true (s.Campaign.excluded = []);
-  Alcotest.(check int) "no directives" 0
-    (Adaptive.stats a).Stats.directives_applied
+  Alcotest.(check int) "no directives" 0 (Campaign.stats c).Stats.directives_applied
+
+(* ---- the same staging on S0, where only exclusions act ---- *)
+
+let observed_smr_campaign () =
+  let d =
+    Smr_deployment.create
+      { Smr_deployment.default_config with keyspace = Keyspace.of_size (1 lsl 12); seed = 3 }
+  in
+  ignore (Smr_deployment.attach_schedule d ~mode:Obfuscation.PO ~period:100.0);
+  let c =
+    Smr_campaign.launch ~strategy:Adaptive.Strategy.oblivious d
+      (Smr_campaign.make_config ~omega:4 ~seed:7 ())
+  in
+  (Smr_deployment.engine d, c)
+
+let test_smr_staged_exclusions_last_wins () =
+  let module Engine = Fortress_sim.Engine in
+  let module N = Fortress_model.Node_id in
+  let engine, c = observed_smr_campaign () in
+  Engine.run ~until:(Engine.now engine +. 10.0) engine;
+  Smr_campaign.stage c (Directive.make ~exclude:[ N.Replica 0; N.Replica 1 ] ());
+  Smr_campaign.stage c (Directive.make ~exclude:[ N.Replica 2 ] ());
+  Alcotest.(check (list int)) "nothing moves mid-step" [] (Smr_campaign.excluded_replicas c);
+  Engine.run ~until:(Engine.now engine +. 100.0) engine;
+  Alcotest.(check (list int)) "later exclusion wins" [ 2 ] (Smr_campaign.excluded_replicas c);
+  Alcotest.(check int) "one directive applied" 1
+    (Smr_campaign.stats c).Stats.directives_applied
+
+let test_smr_kappa_only_stage_is_inert () =
+  let module Engine = Fortress_sim.Engine in
+  let engine, c = observed_smr_campaign () in
+  let directive_events = ref 0 in
+  ignore
+    (Fortress_obs.Sink.attach (Engine.sink engine) (fun ~time:_ -> function
+       | Fortress_obs.Event.Directive _ -> incr directive_events
+       | _ -> ()));
+  Engine.run ~until:(Engine.now engine +. 10.0) engine;
+  Smr_campaign.stage c (Directive.make ~kappa:0.9 ());
+  Engine.run ~until:(Engine.now engine +. 100.0) engine;
+  Alcotest.(check int) "no Directive event" 0 !directive_events;
+  Alcotest.(check int) "no directive applied" 0
+    (Smr_campaign.stats c).Stats.directives_applied
 
 (* ---- node-id round-trips (digest stability for satellite 3) ---- *)
 
@@ -185,6 +225,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_directive_applies_only_at_boundary;
           Alcotest.test_case "staged merge, last wins" `Quick
             test_staged_directive_merges_last_wins;
+          Alcotest.test_case "S0 staged exclusions, last wins" `Quick
+            test_smr_staged_exclusions_last_wins;
+          Alcotest.test_case "S0 kappa-only stage is inert" `Quick
+            test_smr_kappa_only_stage_is_inert;
         ] );
       ( "node-id",
         [ Alcotest.test_case "string round-trip" `Quick test_node_id_round_trip ] );

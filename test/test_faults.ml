@@ -112,7 +112,7 @@ let small_deployment seed =
 
 let test_wiring_none_is_inert () =
   let d = small_deployment 3 in
-  let h = Wiring.install Plan.none ~deployment:d ~seed:3 () in
+  let h = Wiring.install Plan.none (Wiring.fortress d) ~seed:3 in
   let c = Deployment.new_client d ~name:"c0" in
   for _ = 1 to 20 do
     ignore (Fortress_core.Client.submit c ~cmd:"get x" ~on_response:(fun _ -> ()))
@@ -126,7 +126,7 @@ let test_wiring_unknown_target_rejected () =
   let plan =
     { Plan.none with name = "bad"; timeline = [ Plan.once ~at:1.0 (Plan.Crash (Plan.Server 9)) ] }
   in
-  match Wiring.install plan ~deployment:d ~seed:3 () with
+  match Wiring.install plan (Wiring.fortress d) ~seed:3 with
   | _ -> Alcotest.fail "accepted a target outside the deployment"
   | exception Invalid_argument _ -> ()
 
@@ -140,7 +140,7 @@ let test_wiring_crash_restart_timeline () =
         [ Plan.once ~at:10.0 (Plan.Crash (Plan.Server 0)); Plan.once ~at:20.0 (Plan.Restart (Plan.Server 0)) ];
     }
   in
-  let h = Wiring.install plan ~deployment:d ~seed:3 () in
+  let h = Wiring.install plan (Wiring.fortress d) ~seed:3 in
   let engine = Deployment.engine d in
   let net = Deployment.network d in
   let s0 = (Deployment.server_addresses d).(0) in
@@ -175,6 +175,91 @@ let test_stall_skips_boundaries () =
   Engine.run ~until:45.0 (Deployment.engine d);
   Alcotest.(check int) "resumes after unwedging" 1 (Obfuscation.steps_completed o);
   Obfuscation.detach o
+
+(* ---- the S0 fold: one plan, read onto the single replica tier ---- *)
+
+module Smr_deployment = Fortress_core.Smr_deployment
+module Event = Fortress_obs.Event
+
+let small_smr seed =
+  Smr_deployment.create
+    { Smr_deployment.default_config with seed; keyspace = Fortress_defense.Keyspace.of_size 64 }
+
+(* The (action, target) of every fault event emitted from now on. *)
+let record_faults engine =
+  let seen = ref [] in
+  ignore
+    (Fortress_obs.Sink.attach (Engine.sink engine) (fun ~time:_ -> function
+       | Event.Fault { action; target; _ } -> seen := (action, target) :: !seen
+       | _ -> ()));
+  fun () -> List.rev !seen
+
+let timeline name entries = { Plan.none with name; timeline = entries }
+
+let test_smr_proxy_folds_onto_tail () =
+  let d = small_smr 3 in
+  let engine = Smr_deployment.engine d in
+  let faults = record_faults engine in
+  let plan =
+    timeline "fold"
+      [ Plan.once ~at:10.0 (Plan.Crash (Plan.Proxy 0)); Plan.once ~at:20.0 (Plan.Restart (Plan.Proxy 0)) ]
+  in
+  let h = Wiring.install plan (Wiring.smr d) ~seed:3 in
+  let net = Smr_deployment.network d in
+  let replica i = (Smr_deployment.addresses d).(i) in
+  Engine.run ~until:15.0 engine;
+  Alcotest.(check bool) "replica 3 down" false (Network.is_up net (replica 3));
+  Alcotest.(check bool) "replica 0 untouched" true (Network.is_up net (replica 0));
+  Alcotest.(check bool) "crash names replica3" true (List.mem ("crash", "replica3") (faults ()));
+  Engine.run ~until:25.0 engine;
+  Alcotest.(check bool) "replica 3 back up" true (Network.is_up net (replica 3));
+  Alcotest.(check bool) "restart names replica3" true
+    (List.mem ("restart", "replica3") (faults ()));
+  Wiring.uninstall h
+
+let test_smr_server_maps_to_replica () =
+  let d = small_smr 3 in
+  let engine = Smr_deployment.engine d in
+  let faults = record_faults engine in
+  let h =
+    Wiring.install
+      (timeline "server" [ Plan.once ~at:10.0 (Plan.Crash (Plan.Server 1)) ])
+      (Wiring.smr d) ~seed:3
+  in
+  Engine.run ~until:15.0 engine;
+  Alcotest.(check bool) "replica 1 down" false
+    (Network.is_up (Smr_deployment.network d) (Smr_deployment.addresses d).(1));
+  Alcotest.(check bool) "crash names replica1" true (List.mem ("crash", "replica1") (faults ()));
+  Wiring.uninstall h
+
+let test_smr_nameserver_skipped () =
+  let d = small_smr 3 in
+  let engine = Smr_deployment.engine d in
+  let faults = record_faults engine in
+  let h =
+    Wiring.install
+      (timeline "dns" [ Plan.once ~at:10.0 (Plan.Crash Plan.Nameserver) ])
+      (Wiring.smr d) ~seed:3
+  in
+  Engine.run ~until:15.0 engine;
+  Alcotest.(check (list (pair string string)))
+    "one skip event" [ ("skip", "nameserver") ]
+    (List.filter (fun (action, _) -> action = "skip") (faults ()));
+  Alcotest.(check int) "still counts as fired" 1 (Wiring.stats h).Injector.timeline_fired;
+  Wiring.uninstall h
+
+let test_smr_absent_target_rejected () =
+  let d = small_smr 3 in
+  let sink = Engine.sink (Smr_deployment.engine d) in
+  let before = Fortress_obs.Sink.emitted sink in
+  (match
+     Wiring.install
+       (timeline "bad" [ Plan.once ~at:1.0 (Plan.Crash (Plan.Server 9)) ])
+       (Wiring.smr d) ~seed:3
+   with
+  | _ -> Alcotest.fail "accepted a target that folds onto no replica"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check int) "no event emitted" before (Fortress_obs.Sink.emitted sink)
 
 (* ---- end-to-end: determinism and the escalation ladder ---- *)
 
@@ -290,6 +375,13 @@ let () =
           Alcotest.test_case "crash/restart timeline" `Quick test_wiring_crash_restart_timeline;
           Alcotest.test_case "rekey skips down server" `Quick test_rekey_skips_down_server;
           Alcotest.test_case "stall skips boundaries" `Quick test_stall_skips_boundaries;
+          Alcotest.test_case "S0 proxy folds onto tail replica" `Quick
+            test_smr_proxy_folds_onto_tail;
+          Alcotest.test_case "S0 server maps to its replica" `Quick
+            test_smr_server_maps_to_replica;
+          Alcotest.test_case "S0 nameserver crash skipped" `Quick test_smr_nameserver_skipped;
+          Alcotest.test_case "S0 absent target rejected" `Quick
+            test_smr_absent_target_rejected;
         ] );
       ( "inject",
         [
