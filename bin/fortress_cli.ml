@@ -285,7 +285,7 @@ let simulate_cmd =
   let module Campaign = Fortress_attack.Campaign in
   let module Keyspace = Fortress_defense.Keyspace in
   let module Engine = Fortress_sim.Engine in
-  let module Trace = Fortress_sim.Trace in
+  let module Sink = Fortress_obs.Sink in
   let service_arg =
     let all = List.map fst Fortress_replication.Services.all in
     let doc = Printf.sprintf "Service to replicate: %s." (String.concat " | " all) in
@@ -312,7 +312,9 @@ let simulate_cmd =
     Arg.(value & opt int 4 & info [ "requests-per-step" ] ~docv:"N" ~doc:"Client workload rate.")
   in
   let trace_arg =
-    Arg.(value & opt int 10 & info [ "trace" ] ~docv:"N" ~doc:"Trace lines to print at the end.")
+    Arg.(value & opt int 10
+         & info [ "trace" ] ~docv:"N"
+             ~doc:"Print the last $(docv) state-change (Info-level) events at the end; 0 prints none.")
   in
   let jobs_sim =
     Arg.(value & opt int 1
@@ -337,12 +339,25 @@ let simulate_cmd =
               keyspace = Keyspace.of_size chi; seed }
         in
         let engine = Deployment.engine deployment in
+        let sink = Engine.sink engine in
+        let registry = Fortress_obs.Metrics.create () in
+        if metrics then ignore (Sink.attach sink (Sink.counting registry));
+        let print_tail =
+          if trace_lines <= 0 then Fun.id
+          else begin
+            let sub, render = Sink.tail ~lines:trace_lines in
+            ignore (Sink.attach sink sub);
+            fun () ->
+              print_endline "trace tail:";
+              print_string (render ())
+          end
+        in
         let close_trace =
           match trace_out with
           | None -> Fun.id
           | Some path ->
               let sub, close = open_trace path in
-              ignore (Fortress_obs.Sink.attach (Engine.sink engine) sub);
+              ignore (Sink.attach sink sub);
               close
         in
         ignore (Obfuscation.attach deployment ~mode ~period);
@@ -381,12 +396,9 @@ let simulate_cmd =
               (Proxy.index proxy) (Proxy.forwarded proxy) (Proxy.invalid_observed proxy)
               (List.length (Proxy.blocked_sources proxy)))
           (Deployment.proxies deployment);
-        if trace_lines > 0 then begin
-          print_endline "trace tail:";
-          print_string (Trace.dump ~limit:trace_lines (Engine.trace engine))
-        end;
+        print_tail ();
         close_trace ();
-        if metrics then print_string (Fortress_obs.Metrics.render (Engine.metrics engine))
+        if metrics then print_string (Fortress_obs.Metrics.render registry)
   in
   let term =
     Term.(const run $ service_arg $ np_sim $ ns_sim $ steps_arg $ mode_arg $ omega_sim

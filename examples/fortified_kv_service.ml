@@ -10,7 +10,7 @@
    Run with: dune exec examples/fortified_kv_service.exe *)
 
 module Engine = Fortress_sim.Engine
-module Trace = Fortress_sim.Trace
+module Sink = Fortress_obs.Sink
 module Deployment = Fortress_core.Deployment
 module Obfuscation = Fortress_core.Obfuscation
 module Proxy = Fortress_core.Proxy
@@ -29,6 +29,8 @@ let () =
       }
   in
   let engine = Deployment.engine deployment in
+  let tail, render_tail = Sink.tail ~lines:12 in
+  ignore (Sink.attach (Engine.sink engine) tail);
   let period = 100.0 in
   let sched = Obfuscation.attach deployment ~mode:Obfuscation.PO ~period in
 
@@ -74,4 +76,4 @@ let () =
   Printf.printf "  legit requests served    : %d\n" !served;
 
   print_endline "\nlast trace events:";
-  print_string (Trace.dump ~limit:12 (Engine.trace engine))
+  print_string (render_tail ())

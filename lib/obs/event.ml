@@ -114,7 +114,7 @@ let verbosity = function
   | Msg_delivered _ | Msg_dropped _ | Span_finished _ ->
       `Debug
   (* per-message link faults fire at message rate; lifecycle faults
-     (crash/restart/partition/heal/stall) are rare and belong in the ring *)
+     (crash/restart/partition/heal/stall) are rare and belong in the tail *)
   | Fault { action = "drop" | "duplicate" | "reorder" | "corrupt" | "delay"; _ } -> `Debug
   | Fault _ -> `Info
   | Compromise _ | Rekey _ | Recover _ | Step _ | Source_blocked _ | Source_rotated _

@@ -62,13 +62,13 @@ val label : t -> string
     per-label summary; [Note] events report their embedded label. *)
 
 val detail : t -> string
-(** Human-readable one-line rendering, used when bridging into the legacy
-    {!Fortress_sim.Trace} ring. *)
+(** Human-readable one-line rendering, the last column of a
+    {!Sink.tail} line. *)
 
 val verbosity : t -> [ `Info | `Debug ]
-(** [`Debug] events are high-rate (per probe / per message / per request)
-    and are only counted by default; [`Info] events also land in the
-    bounded trace ring. *)
+(** [`Debug] events are high-rate (per probe / per message / per
+    request); [`Info] events are the rarer state changes that
+    {!Sink.tail} keeps. *)
 
 val to_json : t -> Json.t
 (** An object whose ["event"] field is {!label}; {!of_json} inverts it. *)

@@ -156,8 +156,8 @@ let process_window t (w : Timeline.window) =
       end)
     t.states
 
-let create ?params ?emit ?registry timeline =
-  let t = make ?params ?emit ?registry ~width:(Timeline.width timeline) () in
+let create ?params ?emit timeline =
+  let t = make ?params ?emit ~width:(Timeline.width timeline) () in
   Timeline.on_window timeline (process_window t);
   t
 

@@ -52,19 +52,12 @@ type point = {
 
 type t
 
-val create :
-  ?params:(kind -> params) ->
-  ?emit:(time:float -> Event.t -> unit) ->
-  ?registry:Metrics.t ->
-  Timeline.t ->
-  t
+val create : ?params:(kind -> params) -> ?emit:(time:float -> Event.t -> unit) -> Timeline.t -> t
 (** Streaming mode: registers a {!Timeline.on_window} hook so every
     window is scored as it closes. [emit] (typically
     [Sink.emit sink] partially applied) publishes each alarm as a
     [Note {label = "signal.alarm"; _}] at the window's closing edge, so
-    alarms land on the same trace as fault-plan actions. [registry] (when
-    given) keeps a ["signal.<short_name>"] gauge per signal at the latest
-    raw value and a ["signal.alarms"] counter. *)
+    alarms land on the same trace as fault-plan actions. *)
 
 val of_timeline :
   ?params:(kind -> params) ->
@@ -76,7 +69,9 @@ val of_timeline :
     order. Use this for pooled/non-monotone streams (inject runs, trace
     files) where close hooks do not fire once per window. With [emit],
     alarms are appended to the trace as the fold runs — after the pooled
-    stream, in window order. *)
+    stream, in window order. [registry] (when given) keeps a
+    ["signal.<short_name>"] gauge per signal at the latest raw value and a
+    ["signal.alarms"] counter. *)
 
 (** {2 Typed query API} *)
 

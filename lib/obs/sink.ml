@@ -65,6 +65,20 @@ let memory ?(capacity = 65536) () =
   in
   (sub, read)
 
+let tail ~lines =
+  if lines <= 0 then invalid_arg "Sink.tail: lines must be positive";
+  let keep, read = memory ~capacity:lines () in
+  let sub ~time ev = match Event.verbosity ev with `Info -> keep ~time ev | `Debug -> () in
+  let render () =
+    let buf = Buffer.create 1024 in
+    List.iter
+      (fun (time, ev) ->
+        Printf.bprintf buf "[%10.4f] %-18s %s\n" time (Event.label ev) (Event.detail ev))
+      (read ());
+    Buffer.contents buf
+  in
+  (sub, render)
+
 let line ~time ev =
   match Event.to_json ev with
   | Json.Obj fields -> Json.to_string (Json.Obj (("t", Json.Num time) :: fields))

@@ -1,10 +1,11 @@
 (** Structured event sink with pluggable subscribers.
 
     Components emit {!Event.t} values stamped with virtual time; every
-    attached subscriber sees every event. Stock subscribers cover the three
+    attached subscriber sees every event. Stock subscribers cover the
     standard consumers: a counting subscriber feeding a {!Metrics.t}
-    registry, a bounded in-memory collector, and a JSONL writer whose lines
-    {!parse_line} inverts. *)
+    registry, a bounded in-memory collector and its human-readable tail,
+    and a JSONL writer whose lines {!parse_line} inverts. A fresh sink has
+    no subscriber: each consumer attaches its own. *)
 
 type t
 
@@ -36,6 +37,12 @@ val counting : Metrics.t -> subscriber
 val memory : ?capacity:int -> unit -> subscriber * (unit -> (float * Event.t) list)
 (** Keeps the most recent [capacity] (default 65536) events; the closure
     returns them oldest first. *)
+
+val tail : lines:int -> subscriber * (unit -> string)
+(** A {!memory} ring of the last [lines] [`Info] events (see
+    {!Event.verbosity}); the closure renders them oldest first, one
+    newline-terminated ["[%10.4f] %-18s %s"] line (time, {!Event.label},
+    {!Event.detail}) each. Raises [Invalid_argument] when [lines <= 0]. *)
 
 val jsonl : (string -> unit) -> subscriber
 (** Renders each event as one JSON line (no trailing newline) and hands it

@@ -15,34 +15,15 @@
    only when the frontier (highest window index seen) advances, which on
    a monotonic stream is exactly once per window, in order. *)
 
-type hist_view = {
-  hv_count : int;
-  hv_sum : float;
-  hv_p50 : float;
-  hv_p90 : float;
-  hv_p99 : float;
-}
-
 type window = {
   index : int;
   t_lo : float;
   t_hi : float;
   total : int;
   counts : (string * int) list;
-  counters : (string * int) list;
-  gauges : (string * float) list;
-  histograms : (string * hist_view) list;
 }
 
-type acc = {
-  a_index : int;
-  mutable a_total : int;
-  a_counts : (string, int ref) Hashtbl.t;
-  (* registry attribution, filled in at close time on monotonic streams *)
-  mutable a_counters : (string * int) list;
-  mutable a_gauges : (string * float) list;
-  mutable a_histograms : (string * hist_view) list;
-}
+type acc = { a_index : int; mutable a_total : int; a_counts : (string, int ref) Hashtbl.t }
 
 (* lifetime count + latest timestamp per key, merged into one record so
    the per-event path pays one [totals] lookup instead of two *)
@@ -67,7 +48,6 @@ type slot = {
 type t = {
   width : float;
   capacity : int;
-  registry : Metrics.t option;
   wins : (int, acc) Hashtbl.t;
   mutable cur : acc option;  (* cache for the frontier window's acc *)
   mutable lo : int;  (* lowest retained index; meaningful when hi >= 0 *)
@@ -78,7 +58,6 @@ type t = {
   slots : slot array;  (* fixed keys; dynamic keys fall back to [totals] *)
   totals : (string, key_stat) Hashtbl.t;
   mutable hooks : (window -> unit) list;
-  mutable prev_snapshot : (string * Metrics.value) list;
   win_hist : Metrics.histogram option;
   mutable finished : bool;
 }
@@ -148,13 +127,12 @@ let create ?(capacity = 512) ?registry ~width () =
     (* events-per-window distribution; lives in the caller's registry so it
        shows up in snapshots and the OpenMetrics exposition *)
     Option.map
-      (fun r -> Metrics.histogram r ~lo:0.0 ~hi:4096.0 ~bins:64 "timeline.window_events")
+      (fun r -> Metrics.histogram r ~lo:0.0 ~hi:16384.0 ~bins:64 "timeline.window_events")
       registry
   in
   {
     width;
     capacity;
-    registry;
     wins = Hashtbl.create 64;
     cur = None;
     lo = 0;
@@ -168,7 +146,6 @@ let create ?(capacity = 512) ?registry ~width () =
         static_keys;
     totals = Hashtbl.create 32;
     hooks = [];
-    prev_snapshot = [];
     win_hist;
     finished = false;
   }
@@ -202,95 +179,17 @@ let view t acc =
     t_hi = float_of_int (acc.a_index + 1) *. t.width;
     total = acc.a_total;
     counts = counts_of t acc;
-    counters = acc.a_counters;
-    gauges = acc.a_gauges;
-    histograms = acc.a_histograms;
   }
-
-(* Diff the registry against the snapshot taken at the previous close:
-   counter deltas, gauge last-values, histogram bucket deltas reduced to
-   count/sum/percentiles. The timeline's own "timeline.*" metrics are
-   excluded to avoid self-reference. *)
-let hist_delta ~prev cur =
-  match (cur, prev) with
-  | Metrics.Histogram c, Some (Metrics.Histogram p) ->
-      let buckets =
-        List.map2
-          (fun (lo, hi, cc) (_, _, pc) -> (lo, hi, cc - pc))
-          c.buckets p.buckets
-      in
-      Metrics.Histogram
-        {
-          count = c.count - p.count;
-          underflow = c.underflow - p.underflow;
-          overflow = c.overflow - p.overflow;
-          sum = c.sum -. p.sum;
-          buckets;
-        }
-  | _ -> cur
-
-let close_attribution t acc =
-  match t.registry with
-  | None -> ()
-  | Some r ->
-      let cur =
-        List.filter
-          (fun (name, _) -> not (String.length name >= 9 && String.sub name 0 9 = "timeline."))
-          (Metrics.snapshot r)
-      in
-      let prev name = List.assoc_opt name t.prev_snapshot in
-      let counters = ref [] and gauges = ref [] and hists = ref [] in
-      List.iter
-        (fun (name, v) ->
-          match v with
-          | Metrics.Counter n ->
-              let p = match prev name with Some (Metrics.Counter p) -> p | _ -> 0 in
-              if n - p <> 0 then counters := (name, n - p) :: !counters
-          | Metrics.Gauge x -> gauges := (name, x) :: !gauges
-          | Metrics.Histogram _ -> (
-              let d = hist_delta ~prev:(prev name) v in
-              match d with
-              | Metrics.Histogram { count; sum; _ } when count > 0 ->
-                  let pct q = Option.value ~default:0.0 (Metrics.quantile d q) in
-                  hists :=
-                    ( name,
-                      {
-                        hv_count = count;
-                        hv_sum = sum;
-                        hv_p50 = pct 0.5;
-                        hv_p90 = pct 0.9;
-                        hv_p99 = pct 0.99;
-                      } )
-                    :: !hists
-              | _ -> ()))
-        cur;
-      acc.a_counters <- List.rev !counters;
-      acc.a_gauges <- List.rev !gauges;
-      acc.a_histograms <- List.rev !hists;
-      t.prev_snapshot <- cur;
-      (* observed after the snapshot so it lands in the next delta, not its
-         own window's *)
-      Option.iter (fun h -> Metrics.observe h (float_of_int acc.a_total)) t.win_hist
 
 let close_window t index =
   match Hashtbl.find_opt t.wins index with
   | None -> ()
   | Some acc ->
-      close_attribution t acc;
       let v = view t acc in
       List.iter (fun f -> f v) t.hooks
 
 let open_window t index =
-  let acc =
-    {
-      a_index = index;
-      a_total = 0;
-      a_counts = Hashtbl.create 8;
-      a_counters = [];
-      a_gauges = [];
-      a_histograms = [];
-    }
-  in
+  let acc = { a_index = index; a_total = 0; a_counts = Hashtbl.create 8 } in
   Hashtbl.replace t.wins index acc;
   t.opened <- t.opened + 1;
   while index - t.lo + 1 > t.capacity do
@@ -402,18 +301,25 @@ let subscriber t ~time ev =
       | _ -> ())
   end
 
-let finish t =
-  if not t.finished then begin
-    t.finished <- true;
-    if t.hi >= 0 then close_window t t.hi
-  end
-
-let windows t =
+let retained t =
   if t.hi < 0 then []
   else
     List.filter_map
-      (fun i -> Option.map (view t) (Hashtbl.find_opt t.wins i))
+      (fun i -> Hashtbl.find_opt t.wins i)
       (List.init (t.hi - t.lo + 1) (fun k -> t.lo + k))
+
+let finish t =
+  if not t.finished then begin
+    t.finished <- true;
+    if t.hi >= 0 then close_window t t.hi;
+    (* observed only now: on a pooled stream later trials keep landing in
+       windows the frontier has long passed *)
+    Option.iter
+      (fun h -> List.iter (fun acc -> Metrics.observe h (float_of_int acc.a_total)) (retained t))
+      t.win_hist
+  end
+
+let windows t = List.map (view t) (retained t)
 
 let totals t =
   let tbl = Hashtbl.create 32 in

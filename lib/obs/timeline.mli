@@ -4,9 +4,7 @@
     it aggregates every event into the window owning its timestamp —
     per-label counts (mirroring the counter names {!Sink.counting}
     registers, plus a ["fault.<action>"] refinement), lifetime totals and
-    last-seen times, and — when a {!Metrics} registry is supplied — the
-    registry's counter deltas, gauge last-values and per-window histogram
-    percentiles captured as each window closes.
+    last-seen times. It keeps its own counts and reads no registry.
 
     Windows are kept in a bounded ring ([capacity] most recent indices);
     older windows are evicted and events older than the ring are counted
@@ -20,36 +18,21 @@
 
 type t
 
-type hist_view = {
-  hv_count : int;
-  hv_sum : float;
-  hv_p50 : float;
-  hv_p90 : float;
-  hv_p99 : float;
-}
-(** A histogram's per-window delta, reduced to count/sum and bucket-
-    interpolated percentiles. *)
-
 type window = {
   index : int;  (** [t_lo = index * width] *)
   t_lo : float;  (** inclusive *)
   t_hi : float;  (** exclusive *)
   total : int;  (** events binned into this window *)
   counts : (string * int) list;  (** per-key counts, sorted by key *)
-  counters : (string * int) list;
-      (** registry counter deltas at close; [[]] without a registry or
-          while the window is still open *)
-  gauges : (string * float) list;  (** registry gauge values at close *)
-  histograms : (string * hist_view) list;
-      (** registry histogram deltas at close, empty deltas omitted *)
 }
 
 val create : ?capacity:int -> ?registry:Metrics.t -> width:float -> unit -> t
 (** [capacity] defaults to 512 retained windows. When [registry] is given
-    the timeline also registers a ["timeline.window_events"] histogram
-    there, observing each closed window's event total; registry deltas
-    are only meaningful on monotone streams. Raises [Invalid_argument]
-    when [width] or [capacity] is not positive. *)
+    the timeline registers a ["timeline.window_events"] histogram there
+    (64 bins over [0, 16384)) and, at {!finish}, observes each retained
+    window's final event total once — late events of a pooled stream
+    included. Raises [Invalid_argument] when [width] or [capacity] is not
+    positive. *)
 
 val subscriber : t -> Sink.subscriber
 (** The subscriber to attach; events at negative times clamp to window 0.
@@ -63,8 +46,9 @@ val on_window : t -> (window -> unit) -> unit
     on {!finish}). *)
 
 val finish : t -> unit
-(** Close the frontier window and fire its hooks; idempotent. Call when
-    the stream is complete. *)
+(** Close the frontier window, fire its hooks and fill the
+    ["timeline.window_events"] histogram; idempotent. Call when the
+    stream is complete. *)
 
 (** {2 Queries — usable online at any point} *)
 

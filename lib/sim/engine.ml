@@ -12,40 +12,21 @@ type t = {
   mutable seq : int;
   queue : event Heap.t;
   prng : Fortress_util.Prng.t;
-  trace : Trace.t;
   sink : Obs.Sink.t;
-  metrics : Obs.Metrics.t;
   spans : Obs.Span.ctx;
   mutable delay_xform : (float -> float) option;
   mutable causal : Obs.Causal.t option;
 }
 
-(* Bridge structured events into the legacy trace ring: every event bumps
-   its label counter; only `Info events (bounded rate) occupy ring slots,
-   so per-probe/per-message `Debug noise cannot evict the interesting
-   entries. *)
-let trace_bridge trace ~time ev =
-  Trace.incr trace (Obs.Event.label ev);
-  match Obs.Event.verbosity ev with
-  | `Info -> Trace.record trace ~time ~label:(Obs.Event.label ev) (Obs.Event.detail ev)
-  | `Debug -> ()
-
-let create ?trace ?prng ?sink ?metrics () =
-  let trace = match trace with Some tr -> tr | None -> Trace.create () in
+let create ?prng () =
   let prng = match prng with Some p -> p | None -> Fortress_util.Prng.create ~seed:0 in
-  let sink = match sink with Some s -> s | None -> Obs.Sink.create () in
-  let metrics = match metrics with Some m -> m | None -> Obs.Metrics.create () in
-  ignore (Obs.Sink.attach sink (Obs.Sink.counting metrics));
-  ignore (Obs.Sink.attach sink (trace_bridge trace));
   let t =
     {
       clock = 0.0;
       seq = 0;
       queue = Heap.create ();
       prng;
-      trace;
-      sink;
-      metrics;
+      sink = Obs.Sink.create ();
       spans = Obs.Span.create ~now:(fun () -> 0.0) ();
       delay_xform = None;
       causal = None;
@@ -57,9 +38,7 @@ let create ?trace ?prng ?sink ?metrics () =
 
 let now t = t.clock
 let prng t = t.prng
-let trace t = t.trace
 let sink t = t.sink
-let metrics t = t.metrics
 let spans t = t.spans
 let emit t ev = Obs.Sink.emit t.sink ~time:t.clock ev
 let span t ?parent name = Obs.Span.start t.spans ?parent name
@@ -166,8 +145,8 @@ let rec run ?until t =
 let record t ~label detail = emit t (Obs.Event.Note { label; detail })
 
 let attach_telemetry ?(window = 100.0) ?capacity ?(alarms = true) ?params t =
-  let timeline = Obs.Timeline.create ?capacity ~registry:t.metrics ~width:window () in
+  let timeline = Obs.Timeline.create ?capacity ~width:window () in
   ignore (Obs.Sink.attach t.sink (Obs.Timeline.subscriber timeline));
   let emit = if alarms then Some (fun ~time ev -> Obs.Sink.emit t.sink ~time ev) else None in
-  let signals = Obs.Signal.create ?params ?emit ~registry:t.metrics timeline in
+  let signals = Obs.Signal.create ?params ?emit timeline in
   (timeline, signals)

@@ -10,29 +10,19 @@ type t
 type handle
 (** A scheduled event; may be cancelled before it fires. *)
 
-val create :
-  ?trace:Trace.t ->
-  ?prng:Fortress_util.Prng.t ->
-  ?sink:Fortress_obs.Sink.t ->
-  ?metrics:Fortress_obs.Metrics.t ->
-  unit ->
-  t
+val create : ?prng:Fortress_util.Prng.t -> unit -> t
 (** [create ()] starts the clock at 0. A shared [prng] (default seed 0) is
     available to components via {!prng}; pass an explicit one to control the
     seed of a whole execution. The engine owns an observability {!sink}
-    (with a counting subscriber into {!metrics} and a bridge into the
-    legacy {!trace} ring pre-attached) and a virtual-time span context. *)
+    with no subscriber attached, and a virtual-time span context. *)
 
 val now : t -> float
 val prng : t -> Fortress_util.Prng.t
-val trace : t -> Trace.t
 
 val sink : t -> Fortress_obs.Sink.t
-(** Attach further subscribers (JSONL writers, forwarders) here. *)
-
-val metrics : t -> Fortress_obs.Metrics.t
-(** Per-event-label counters maintained by the built-in counting
-    subscriber, plus whatever components register directly. *)
+(** Every consumer attaches its own subscriber here: JSONL writers,
+    forwarders, {!Fortress_obs.Sink.counting} for per-label counters,
+    {!Fortress_obs.Sink.tail} for a readable trace tail. *)
 
 val emit : t -> Fortress_obs.Event.t -> unit
 (** Emit a structured event stamped with the current virtual time. *)
@@ -105,7 +95,7 @@ val run : ?until:float -> t -> unit
 
 val record : t -> label:string -> string -> unit
 (** Convenience: emit a free-form {!Fortress_obs.Event.Note} at the current
-    time; the trace bridge records it in the ring as before. *)
+    time. *)
 
 val attach_telemetry :
   ?window:float ->
@@ -116,11 +106,11 @@ val attach_telemetry :
   Fortress_obs.Timeline.t * Fortress_obs.Signal.t
 (** Attach the telemetry plane to this engine's sink: a
     {!Fortress_obs.Timeline} of [window]-wide virtual-time windows
-    (default 100, the canonical attack step) backed by the engine's
-    metrics registry, and a {!Fortress_obs.Signal} scoring the defender
-    signals as each window closes. With [alarms] (default true) detector
-    alarms are emitted back onto the sink as ["signal.alarm"] notes, so
-    they interleave with fault-plan actions in any attached trace.
+    (default 100, the canonical attack step) and a {!Fortress_obs.Signal}
+    scoring the defender signals as each window closes; neither writes a
+    metrics registry. With [alarms] (default true) detector alarms are
+    emitted back onto the sink as ["signal.alarm"] notes, so they
+    interleave with fault-plan actions in any attached trace.
     Entirely subscriber-side: nothing schedules, no PRNG draws, so an
     execution's event stream is unchanged by attaching — only the trace
     gains the alarm notes. *)

@@ -386,30 +386,33 @@ let test_sink_file_flushes_and_closes () =
 
 let test_engine_emit_feeds_metrics_and_trace () =
   let e = Engine.create () in
+  let reg = Metrics.create () in
+  ignore (Sink.attach (Engine.sink e) (Sink.counting reg));
+  let tail, render = Sink.tail ~lines:10 in
+  ignore (Sink.attach (Engine.sink e) tail);
   ignore
     (Engine.schedule e ~delay:1.0 (fun () ->
          Engine.emit e (Event.Rekey { nodes = 6 });
          Engine.emit e (Event.Msg_delivered { src = 0; dst = 1 })));
   Engine.run e;
-  Alcotest.(check int) "metrics counted both" 1
-    (Fortress_obs.Metrics.find_counter (Engine.metrics e) "events.rekey");
+  Alcotest.(check int) "metrics counted both" 1 (Metrics.find_counter reg "events.rekey");
   Alcotest.(check int) "debug event counted too" 1
-    (Fortress_obs.Metrics.find_counter (Engine.metrics e) "events.msg_delivered");
-  (* only the `Info event takes a ring slot; both bump trace counters *)
-  Alcotest.(check int) "one ring entry" 1 (Fortress_sim.Trace.length (Engine.trace e));
-  Alcotest.(check int) "trace counter for debug event" 1
-    (Fortress_sim.Trace.counter (Engine.trace e) "msg_delivered")
+    (Metrics.find_counter reg "events.msg_delivered");
+  (* only the `Info event reaches the tail *)
+  Alcotest.(check string) "one tail line"
+    "[    1.0000] rekey              rekeyed 6 nodes (proactive obfuscation)\n" (render ())
 
 let test_engine_spans_use_virtual_time () =
   let e = Engine.create () in
+  let reg = Metrics.create () in
+  ignore (Sink.attach (Engine.sink e) (Sink.counting reg));
   let mem, recent = Sink.memory () in
   ignore (Sink.attach (Engine.sink e) mem);
   let sp = ref None in
   ignore (Engine.schedule e ~delay:2.0 (fun () -> sp := Some (Engine.span e "phase")));
   ignore (Engine.schedule e ~delay:7.0 (fun () -> Engine.finish_span e (Option.get !sp)));
   Engine.run e;
-  Alcotest.(check int) "span event counted" 1
-    (Fortress_obs.Metrics.find_counter (Engine.metrics e) "events.span");
+  Alcotest.(check int) "span event counted" 1 (Metrics.find_counter reg "events.span");
   match recent () with
   | [ (7.0, Event.Span_finished { name; start_time; duration; _ }) ] ->
       Alcotest.(check string) "name" "phase" name;
@@ -503,27 +506,36 @@ let test_timeline_hooks_fire_once_in_order () =
     (List.rev !closed)
 
 let test_timeline_registry_attribution () =
+  (* the registry gets the events-per-window histogram, each retained
+     window's final total observed once at finish. Two replayed "trials"
+     each restart at t = 0, so the second one's events land in windows the
+     frontier has already passed; they must still count. *)
   let reg = Metrics.create () in
-  (* timeline attached before counting: close-time snapshots exclude the
-     event that advanced the frontier *)
   let tl, sink = watched_timeline ~registry:reg ~width:10.0 () in
-  ignore (Sink.attach sink (Sink.counting reg));
-  Sink.emit sink ~time:1.0 (Event.Rekey { nodes = 1 });
-  Sink.emit sink ~time:2.0 (Event.Rekey { nodes = 1 });
-  Sink.emit sink ~time:11.0 (Event.Rekey { nodes = 1 });
+  let window_events () = Option.get (Metrics.find_histogram reg "timeline.window_events") in
+  let trial ~events_per_window =
+    List.iteri
+      (fun w n ->
+        for _ = 1 to n do
+          Sink.emit sink ~time:((10.0 *. float_of_int w) +. 5.0) (Event.Rekey { nodes = 1 })
+        done)
+      events_per_window
+  in
+  trial ~events_per_window:[ 3; 1 ];
+  trial ~events_per_window:[ 5000; 2; 1 ];
+  Alcotest.(check int) "nothing observed before finish" 0
+    (Fortress_util.Histogram.count (window_events ()));
   Timeline.finish tl;
-  (match Timeline.windows tl with
-  | [ w0; w1 ] ->
-      Alcotest.(check (option int)) "window 0 counter delta" (Some 2)
-        (List.assoc_opt "events.rekey" w0.Timeline.counters);
-      Alcotest.(check (option int)) "window 1 counter delta" (Some 1)
-        (List.assoc_opt "events.rekey" w1.Timeline.counters)
-  | ws -> Alcotest.failf "expected 2 windows, got %d" (List.length ws));
-  match Metrics.find_histogram reg "timeline.window_events" with
-  | None -> Alcotest.fail "timeline.window_events not registered"
-  | Some data ->
-      Alcotest.(check int) "one observation per closed window" 2
-        (Fortress_util.Histogram.count data)
+  Timeline.finish tl;
+  Alcotest.(check (list int)) "window totals" [ 5003; 3; 1 ]
+    (List.map (fun w -> w.Timeline.total) (Timeline.windows tl));
+  let data = window_events () in
+  Alcotest.(check int) "one observation per window" 3 (Fortress_util.Histogram.count data);
+  Alcotest.(check (float 0.0)) "sum equals the events seen"
+    (float_of_int (Timeline.events_seen tl))
+    (Fortress_util.Histogram.sum data);
+  Alcotest.(check int) "no window above the top edge" 0
+    (Fortress_util.Histogram.overflow data)
 
 let test_timeline_ignores_signal_alarms () =
   let tl, sink = watched_timeline ~width:10.0 () in
@@ -703,11 +715,8 @@ let test_engine_attach_telemetry () =
   Alcotest.(check int) "three windows" 3 (List.length (Timeline.windows tl));
   Alcotest.(check int) "one signal point per window" 3
     (List.length (Signal.series sg Signal.Invalid_probe_rate));
-  (* the engine registry carries the signal gauges and window histogram *)
-  Alcotest.(check (float 1e-9)) "stale gauge live in engine metrics" 20.0
-    (Fortress_obs.Metrics.find_gauge (Engine.metrics e) "signal.stale");
-  Alcotest.(check bool) "window histogram registered" true
-    (Fortress_obs.Metrics.find_histogram (Engine.metrics e) "timeline.window_events" <> None)
+  Alcotest.(check (option (float 1e-9))) "staleness scored as windows close" (Some 20.0)
+    (Option.map (fun p -> p.Signal.raw) (Signal.latest sg Signal.Rekey_staleness))
 
 (* ---- OpenMetrics ---- *)
 

@@ -1,4 +1,7 @@
 open Fortress_sim
+module Sink = Fortress_obs.Sink
+module Event = Fortress_obs.Event
+module Metrics = Fortress_obs.Metrics
 
 (* ---- Heap ---- *)
 
@@ -186,13 +189,20 @@ let test_engine_zero_delay () =
 
 let test_engine_record_reaches_trace () =
   let e = Engine.create () in
+  let mem, recent = Sink.memory () in
+  ignore (Sink.attach (Engine.sink e) mem);
   ignore (Engine.schedule e ~delay:3.0 (fun () -> Engine.record e ~label:"evt" "hello"));
   Engine.run e;
-  match Fortress_sim.Trace.entries (Engine.trace e) with
-  | [ entry ] ->
-      Alcotest.(check string) "label" "evt" entry.Fortress_sim.Trace.label;
-      Alcotest.(check (float 0.0)) "stamped at fire time" 3.0 entry.Fortress_sim.Trace.time
-  | _ -> Alcotest.fail "expected exactly one entry"
+  match recent () with
+  | [ (time, Event.Note { label; detail }) ] ->
+      Alcotest.(check string) "label" "evt" label;
+      Alcotest.(check string) "detail" "hello" detail;
+      Alcotest.(check (float 0.0)) "stamped at fire time" 3.0 time
+  | _ -> Alcotest.fail "expected exactly one note"
+
+let test_engine_fresh_sink_unobserved () =
+  (* every reader attaches its own subscriber; the engine attaches none *)
+  Alcotest.(check int) "no subscriber" 0 (Sink.subscriber_count (Engine.sink (Engine.create ())))
 
 let test_engine_run_until_exact_boundary () =
   (* an event exactly at the limit is executed, not stranded *)
@@ -202,78 +212,114 @@ let test_engine_run_until_exact_boundary () =
   Engine.run ~until:10.0 e;
   Alcotest.(check bool) "boundary event fires" true !fired
 
-(* ---- Trace ---- *)
+(* ---- Trace tail and counters ----
+   The readers an engine leaves to its caller: [Sink.tail] keeps the last
+   few state changes for printing, [Sink.counting] keeps per-label counts
+   in the caller's registry. *)
+
+let note sink i =
+  Sink.emit sink ~time:(float_of_int i) (Event.Note { label = "t"; detail = string_of_int i })
+
+let tail_lines render =
+  List.filter (fun l -> l <> "") (String.split_on_char '\n' (render ()))
+
+(* the detail is the last word of a tail line *)
+let tail_details render =
+  List.map (fun l -> List.hd (List.rev (String.split_on_char ' ' l))) (tail_lines render)
 
 let test_trace_record () =
-  let tr = Trace.create () in
-  Trace.record tr ~time:1.0 ~label:"a" "first";
-  Trace.record tr ~time:2.0 ~label:"b" "second";
-  Alcotest.(check int) "length" 2 (Trace.length tr);
-  match Trace.entries tr with
-  | [ e1; e2 ] ->
-      Alcotest.(check string) "order" "a" e1.Trace.label;
-      Alcotest.(check string) "order" "b" e2.Trace.label
-  | _ -> Alcotest.fail "expected two entries"
+  (* only `Info events take a slot; per-message `Debug events do not *)
+  let e = Engine.create () in
+  let tail, render = Sink.tail ~lines:10 in
+  ignore (Sink.attach (Engine.sink e) tail);
+  ignore (Engine.schedule e ~delay:1.0 (fun () -> Engine.record e ~label:"a" "first"));
+  ignore
+    (Engine.schedule e ~delay:1.5 (fun () ->
+         Engine.emit e (Event.Msg_delivered { src = 0; dst = 1 })));
+  ignore (Engine.schedule e ~delay:2.0 (fun () -> Engine.record e ~label:"b" "second"));
+  Engine.run e;
+  Alcotest.(check string) "Info events only, oldest first, exact format"
+    "[    1.0000] a                  first\n[    2.0000] b                  second\n" (render ())
 
 let test_trace_ring_eviction () =
-  let tr = Trace.create ~capacity:3 () in
-  for i = 1 to 5 do
-    Trace.record tr ~time:(float_of_int i) ~label:"t" (string_of_int i)
-  done;
-  Alcotest.(check int) "retained" 3 (Trace.length tr);
-  Alcotest.(check int) "recorded" 5 (Trace.recorded tr);
-  match Trace.entries tr with
-  | [ a; b; c ] ->
-      Alcotest.(check string) "oldest retained" "3" a.Trace.detail;
-      Alcotest.(check string) "newest" "5" c.Trace.detail;
-      ignore b
-  | _ -> Alcotest.fail "expected three entries"
+  let sink = Sink.create () in
+  let tail, render = Sink.tail ~lines:3 in
+  ignore (Sink.attach sink tail);
+  for i = 1 to 5 do note sink i done;
+  Alcotest.(check (list string)) "last three retained" [ "3"; "4"; "5" ] (tail_details render)
 
 let test_trace_counters () =
-  let tr = Trace.create () in
-  Trace.incr tr "probes";
-  Trace.incr tr "probes";
-  Trace.incr tr "crashes";
-  Alcotest.(check int) "probes" 2 (Trace.counter tr "probes");
-  Alcotest.(check int) "missing" 0 (Trace.counter tr "nothing");
-  Alcotest.(check (list (pair string int)))
-    "sorted counters"
-    [ ("crashes", 1); ("probes", 2) ]
-    (Trace.counters tr)
+  (* a note counts under its own label *)
+  let e = Engine.create () in
+  let registry = Metrics.create () in
+  ignore (Sink.attach (Engine.sink e) (Sink.counting registry));
+  Engine.record e ~label:"probes" "a";
+  Engine.record e ~label:"probes" "b";
+  Engine.record e ~label:"crashes" "c";
+  Alcotest.(check int) "probes" 2 (Metrics.find_counter registry "events.probes");
+  Alcotest.(check int) "missing" 0 (Metrics.find_counter registry "events.nothing");
+  Alcotest.(check (list string)) "sorted counters"
+    [ "events.crashes"; "events.probes" ]
+    (List.map fst (Metrics.snapshot registry))
 
 let test_trace_wraparound_ordering () =
   (* after several full wraps, entries still come back oldest first *)
-  let tr = Trace.create ~capacity:4 () in
-  for i = 1 to 11 do
-    Trace.record tr ~time:(float_of_int i) ~label:"w" (string_of_int i)
-  done;
-  Alcotest.(check int) "ring full" 4 (Trace.length tr);
-  let details = List.map (fun e -> e.Trace.detail) (Trace.entries tr) in
+  let sink = Sink.create () in
+  let tail, render = Sink.tail ~lines:4 in
+  ignore (Sink.attach sink tail);
+  for i = 1 to 11 do note sink i done;
   Alcotest.(check (list string)) "oldest-to-newest across the wrap"
-    [ "8"; "9"; "10"; "11" ] details;
-  let times = List.map (fun e -> e.Trace.time) (Trace.entries tr) in
-  Alcotest.(check bool) "times non-decreasing" true
-    (List.sort compare times = times)
+    [ "8"; "9"; "10"; "11" ] (tail_details render)
 
 let test_trace_counters_survive_eviction () =
-  (* the ring forgets, the counters do not *)
-  let tr = Trace.create ~capacity:2 () in
-  for i = 1 to 50 do
-    Trace.incr tr "probe";
-    Trace.record tr ~time:(float_of_int i) ~label:"probe" "sent"
-  done;
-  Alcotest.(check int) "only capacity entries retained" 2 (Trace.length tr);
-  Alcotest.(check int) "all records counted" 50 (Trace.recorded tr);
-  Alcotest.(check int) "counter unaffected by eviction" 50 (Trace.counter tr "probe")
+  (* the tail forgets, the counters do not *)
+  let sink = Sink.create () in
+  let registry = Metrics.create () in
+  let tail, render = Sink.tail ~lines:2 in
+  ignore (Sink.attach sink tail);
+  ignore (Sink.attach sink (Sink.counting registry));
+  for i = 1 to 50 do note sink i done;
+  Alcotest.(check int) "only lines entries retained" 2 (List.length (tail_lines render));
+  Alcotest.(check int) "counter unaffected by eviction" 50 (Metrics.find_counter registry "events.t")
 
 let test_trace_dump_limit () =
-  let tr = Trace.create () in
-  for i = 1 to 10 do
-    Trace.record tr ~time:(float_of_int i) ~label:"x" (string_of_int i)
-  done;
-  let s = Trace.dump ~limit:2 tr in
-  let lines = String.split_on_char '\n' (String.trim s) in
-  Alcotest.(check int) "limited lines" 2 (List.length lines)
+  let sink = Sink.create () in
+  let tail, render = Sink.tail ~lines:2 in
+  ignore (Sink.attach sink tail);
+  for i = 1 to 10 do note sink i done;
+  Alcotest.(check string) "two newline-terminated lines"
+    "[    9.0000] t                  9\n[   10.0000] t                  10\n" (render ())
+
+let test_trace_tail_rejects_non_positive () =
+  List.iter
+    (fun lines ->
+      Alcotest.check_raises (Printf.sprintf "lines = %d" lines)
+        (Invalid_argument "Sink.tail: lines must be positive") (fun () ->
+          ignore (Sink.tail ~lines)))
+    [ 0; -1 ]
+
+let test_trace_tail_pinned_on_deployment () =
+  (* pinned bytes: the line format, the Info filter and the event order of
+     a seeded run must not drift *)
+  let module Deployment = Fortress_core.Deployment in
+  let module Campaign = Fortress_attack.Campaign in
+  let d =
+    Deployment.create
+      { Deployment.default_config with keyspace = Fortress_defense.Keyspace.of_size 256; seed = 7 }
+  in
+  let tail, render = Sink.tail ~lines:4 in
+  ignore (Sink.attach (Engine.sink (Deployment.engine d)) tail);
+  ignore (Fortress_core.Obfuscation.attach d ~mode:Fortress_core.Obfuscation.PO ~period:100.0);
+  let c =
+    Campaign.launch d (Campaign.make_config ~omega:8 ~kappa:0.5 ~period:100.0 ~seed:8 ())
+  in
+  ignore (Campaign.run_until_compromise c ~max_steps:12);
+  Alcotest.(check string) "tail"
+    "[ 1100.0000] step               attack step 12 begins\n\
+     [ 1133.3333] compromise         proxy 2 compromised\n\
+     [ 1200.0000] rekey              rekeyed 6 nodes (proactive obfuscation)\n\
+     [ 1200.0000] step               attack step 13 begins\n"
+    (render ())
 
 let () =
   Alcotest.run "fortress_sim"
@@ -304,6 +350,7 @@ let () =
           Alcotest.test_case "every invalid period" `Quick test_engine_every_invalid_period;
           Alcotest.test_case "zero delay" `Quick test_engine_zero_delay;
           Alcotest.test_case "record reaches trace" `Quick test_engine_record_reaches_trace;
+          Alcotest.test_case "fresh sink unobserved" `Quick test_engine_fresh_sink_unobserved;
           Alcotest.test_case "run until exact boundary" `Quick
             test_engine_run_until_exact_boundary;
         ] );
@@ -316,5 +363,9 @@ let () =
           Alcotest.test_case "counters survive eviction" `Quick
             test_trace_counters_survive_eviction;
           Alcotest.test_case "dump limit" `Quick test_trace_dump_limit;
+          Alcotest.test_case "tail rejects non-positive lines" `Quick
+            test_trace_tail_rejects_non_positive;
+          Alcotest.test_case "tail pinned on a seeded deployment" `Quick
+            test_trace_tail_pinned_on_deployment;
         ] );
     ]
