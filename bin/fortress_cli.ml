@@ -360,7 +360,7 @@ let simulate_cmd =
               ignore (Sink.attach sink sub);
               close
         in
-        ignore (Obfuscation.attach deployment ~mode ~period);
+        ignore (Deployment.obfuscate deployment ~mode ~period);
         let client = Deployment.new_client deployment ~name:"workload" in
         let served = ref 0 and sent = ref 0 in
         ignore

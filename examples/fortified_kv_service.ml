@@ -32,7 +32,7 @@ let () =
   let tail, render_tail = Sink.tail ~lines:12 in
   ignore (Sink.attach (Engine.sink engine) tail);
   let period = 100.0 in
-  let sched = Obfuscation.attach deployment ~mode:Obfuscation.PO ~period in
+  let sched = Deployment.obfuscate deployment ~mode:Obfuscation.PO ~period in
 
   (* legitimate traffic keeps flowing during the attack *)
   let client = Deployment.new_client deployment ~name:"legit-client" in

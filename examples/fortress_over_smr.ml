@@ -13,6 +13,7 @@
 module Engine = Fortress_sim.Engine
 module Deployment = Fortress_core.Deployment
 module Client = Fortress_core.Client
+module Smr_deployment = Fortress_core.Smr_deployment
 module Smr_fortress = Fortress_core.Smr_fortress
 
 let () =
@@ -27,7 +28,7 @@ let () =
 
   (* --- SMR tier with one intruded replica --- *)
   let smr = Smr_fortress.create Smr_fortress.default_config in
-  Smr_fortress.compromise_server smr 0;
+  Smr_deployment.compromise (Smr_fortress.tier smr) 0;
   let smr_client = Smr_fortress.new_client smr ~name:"smr-client" in
   let smr_response = ref "(no answer)" in
   ignore
@@ -40,7 +41,14 @@ let () =
   (* --- but SMR needs determinism: the lottery service diverges --- *)
   let lottery =
     Smr_fortress.create
-      { Smr_fortress.default_config with service = Fortress_replication.Services.lottery }
+      {
+        Smr_fortress.default_config with
+        tier =
+          {
+            Smr_fortress.default_config.tier with
+            service = Fortress_replication.Services.lottery;
+          };
+      }
   in
   let l_client = Smr_fortress.new_client lottery ~name:"l-client" in
   let l_response = ref "(no agreement)" in

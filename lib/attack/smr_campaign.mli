@@ -6,8 +6,8 @@
     replicas are compromised {e simultaneously} — under proactive
     obfuscation a compromised replica is evicted (and re-keyed) when its
     batch cycles, so the attacker must land its second intrusion while the
-    first still stands. Run together with
-    {!Fortress_core.Smr_deployment.attach_schedule}.
+    first still stands. Run together with the deployment's daemon,
+    {!Fortress_core.Smr_deployment.obfuscate}.
 
     Takes the same [?strategy] as {!Campaign.launch} and stages directives
     the same way ({!stage}); since S0 has no indirect channel, only the

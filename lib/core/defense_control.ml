@@ -1,16 +1,13 @@
 module Controller = Fortress_defense.Controller
 
-(* The wiring layer between the deployment-agnostic controller and the two
-   concrete stacks. The controller library sits below fortress_core, so it
-   steers through an actuator of closures built here; the signal it reads
-   comes from [attach_telemetry ~alarms:false] so that attaching a defender
-   that never acts leaves the event trace byte-identical to an undefended
-   run (the [static] conformance contract). Everything below is written
-   once against [Stack_intf.S]; the historical per-stack entry points are
-   kept as thin shims over [attach_stack]. *)
-
-let attach_stack (type s) (module St : Stack_intf.S with type t = s) ?window ?capacity
-    ?params ?(period : float option) (stack : s) strategy =
+(* The wiring layer between the deployment-agnostic controller and the
+   stacks. The controller library sits below fortress_core, so it steers
+   through an actuator of closures built here; the signal it reads comes
+   from [attach_telemetry ~alarms:false] so that attaching a defender that
+   never acts leaves the event trace byte-identical to an undefended run
+   (the [static] conformance contract). *)
+let attach (type s) (module St : Stack_intf.S with type t = s) ?window ?capacity ?params
+    ?(period : float option) (stack : s) strategy =
   let engine = St.engine stack in
   let _timeline, signal = St.attach_telemetry ?window ?capacity ?params ~alarms:false stack in
   let defaults : Controller.defaults =
@@ -32,17 +29,3 @@ let attach_stack (type s) (module St : Stack_intf.S with type t = s) ?window ?ca
   in
   let period = match period with Some p -> p | None -> St.rekey_period stack in
   Controller.launch ~engine ~signal ~period ~defaults ~actuator strategy
-
-let attach ?window ?capacity ?params ?period deployment ~obfuscation strategy =
-  attach_stack
-    (module Fortress_stack)
-    ?window ?capacity ?params ?period
-    (Fortress_stack.of_parts ~obfuscation deployment)
-    strategy
-
-let attach_smr ?window ?capacity ?params ?period deployment ~schedule strategy =
-  attach_stack
-    (module Smr_stack)
-    ?window ?capacity ?params ?period
-    (Smr_stack.of_parts ~schedule deployment)
-    strategy

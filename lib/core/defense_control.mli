@@ -1,15 +1,15 @@
-(** Wire a {!Fortress_defense.Controller} to a live deployment.
+(** Wire a {!Fortress_defense.Controller} to a live stack.
 
     The controller library sits {e below} fortress_core in the dependency
     order, so it never sees a deployment: it acts through an actuator of
-    closures built here. Sensing goes through
-    [attach_telemetry ~alarms:false] — the signal plane records alarms for
-    the query API without re-emitting them onto the sink, so attaching a
-    defender whose strategy never acts (notably
+    closures built here over any {!Stack_intf.S} stack. Sensing goes
+    through [attach_telemetry ~alarms:false] — the signal plane records
+    alarms for the query API without re-emitting them onto the sink, so
+    attaching a defender whose strategy never acts (notably
     {!Fortress_defense.Controller.Strategy.static}) leaves the event trace
     byte-identical to an undefended run. *)
 
-val attach_stack :
+val attach :
   (module Stack_intf.S with type t = 's) ->
   ?window:float ->
   ?capacity:int ->
@@ -18,43 +18,12 @@ val attach_stack :
   's ->
   Fortress_defense.Controller.Strategy.t ->
   Fortress_defense.Controller.t
-(** Attach a defender to any stack implementing {!Stack_intf.S}. Defaults
-    come from the stack's live configuration ({!Stack_intf.S.rekey_period}
-    and {!Stack_intf.S.default_threshold} — the stack must have an
-    obfuscation schedule attached); the actuator drives the signature's
+(** Attach a defender to a stack. Defaults come from the stack's live
+    configuration ({!Stack_intf.S.rekey_period} and
+    {!Stack_intf.S.default_threshold} — the stack's obfuscation daemon
+    must be running); the actuator drives the signature's
     period/threshold knobs and wraps both boosts in
     [Engine.causal_scope "defense.actuate"]. [period] is the controller
     boundary spacing (default: the stack's rekey period, so decisions land
     between obfuscation boundaries). Telemetry options are passed through
     to {!Stack_intf.S.attach_telemetry}. *)
-
-val attach :
-  ?window:float ->
-  ?capacity:int ->
-  ?params:(Fortress_obs.Signal.kind -> Fortress_obs.Signal.params) ->
-  ?period:float ->
-  Deployment.t ->
-  obfuscation:Obfuscation.t ->
-  Fortress_defense.Controller.Strategy.t ->
-  Fortress_defense.Controller.t
-(** [attach_stack] over {!Fortress_stack}: the actuator drives
-    {!Obfuscation.set_period}, {!Proxy.set_detection_threshold} on every
-    proxy, and {!Deployment.rekey} / {!Deployment.recover} for boosts.
-    Kept for callers that hold the raw parts; new code should build a
-    {!Fortress_stack.t} and call {!attach_stack}. *)
-
-val attach_smr :
-  ?window:float ->
-  ?capacity:int ->
-  ?params:(Fortress_obs.Signal.kind -> Fortress_obs.Signal.params) ->
-  ?period:float ->
-  Smr_deployment.t ->
-  schedule:Smr_deployment.schedule ->
-  Fortress_defense.Controller.Strategy.t ->
-  Fortress_defense.Controller.t
-(** [attach_stack] over {!Smr_stack}: the rekey-period knob drives
-    {!Smr_deployment.set_schedule_period}; both boosts run
-    {!Smr_deployment.force_boundary} (recovery is the batched boundary
-    there); the proxy-threshold knob is a graceful no-op — S0 has no
-    proxy tier. Kept for callers that hold the raw parts; new code should
-    build an {!Smr_stack.t} and call {!attach_stack}. *)

@@ -56,6 +56,7 @@ type t = {
          clients) never change which keys the defense rotates through, so
          runs under different fault plans stay pairwise comparable *)
   mutable client_count : int;
+  mutable daemon : Obfuscation.t option;
 }
 
 (* Draw a key distinct from every key in [avoid]. *)
@@ -156,6 +157,7 @@ let create cfg =
     proxy_comp = Array.make (max cfg.np 1) false;
     key_prng;
     client_count = 0;
+    daemon = None;
   }
 
 let config t = t.cfg
@@ -253,6 +255,18 @@ let recover t =
            detail = Printf.sprintf "%d down nodes not recovered" !missed;
          });
   Engine.emit t.engine (Event.Recover { nodes = t.cfg.ns + t.cfg.np - !missed })
+
+let obfuscate t ~mode ~period =
+  if Option.is_some t.daemon then invalid_arg "Deployment.obfuscate: a daemon is already running";
+  let daemon =
+    Obfuscation.start t.engine ~mode ~period (fun _ ->
+        Engine.causal_scope t.engine "obf.boundary" (fun () ->
+            match mode with Obfuscation.PO -> rekey t | Obfuscation.SO -> recover t))
+  in
+  t.daemon <- Some daemon;
+  daemon
+
+let obfuscation t = t.daemon
 
 (* ---- crash faults ---- *)
 

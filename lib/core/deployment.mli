@@ -7,7 +7,8 @@
     FORTRESS prescription, all servers share one randomization key, each
     proxy has its own, and at any time np + 1 randomly selected keys are in
     use. The deployment owns the engine, the network, the nameserver
-    record and the compromise bookkeeping used by attack campaigns. *)
+    record, its obfuscation daemon and the compromise bookkeeping used by
+    attack campaigns. *)
 
 type config = {
   np : int;  (** proxies; 0 builds an unfortified S1 system *)
@@ -73,6 +74,16 @@ val rekey : t -> unit
 val recover : t -> unit
 (** Proactive recovery step: reinstall the same executables (keys
     unchanged), evicting intruders. *)
+
+val obfuscate : t -> mode:Obfuscation.mode -> period:float -> Obfuscation.t
+(** Start this deployment's obfuscation daemon and keep it: each boundary
+    runs {!rekey} (PO) or {!recover} (SO) inside an ["obf.boundary"]
+    causal scope. Raises [Invalid_argument] if a daemon is already
+    running. *)
+
+val obfuscation : t -> Obfuscation.t option
+(** The daemon {!obfuscate} started, if any — what fault plans stall and
+    what the defender's period knob turns. *)
 
 (** {1 Crash faults (driven by the fault-injection subsystem)} *)
 

@@ -9,6 +9,7 @@ let mode_of_string = function "po" -> Some PO | "so" -> Some SO | _ -> None
 type t = {
   obf_mode : mode;
   mutable obf_period : float;
+  boundary : t -> unit;
   mutable steps : int;
   mutable obf_stalled : bool;
   mutable skipped : int;
@@ -22,13 +23,13 @@ type t = {
    [every]'s exact semantics — body first, then re-arm at [now + period],
    one enqueue per boundary — so a run whose period never moves is
    byte-identical to the historical [every]-based schedule. *)
-let attach deployment ~mode ~period =
-  if period <= 0.0 then invalid_arg "Obfuscation.attach: period must be positive";
-  let engine = Deployment.engine deployment in
+let start engine ~mode ~period boundary =
+  if period <= 0.0 then invalid_arg "Obfuscation.start: period must be positive";
   let t =
     {
       obf_mode = mode;
       obf_period = period;
+      boundary;
       steps = 0;
       obf_stalled = false;
       skipped = 0;
@@ -56,10 +57,7 @@ let attach deployment ~mode ~period =
                        })
                 end
                 else begin
-                  Engine.causal_scope engine "obf.boundary" (fun () ->
-                      match mode with
-                      | PO -> Deployment.rekey deployment
-                      | SO -> Deployment.recover deployment);
+                  boundary t;
                   t.steps <- t.steps + 1
                 end);
                arm ()
@@ -76,6 +74,7 @@ let set_period t p =
   if p <= 0.0 then invalid_arg "Obfuscation.set_period: period must be positive";
   t.obf_period <- p
 
+let fire t = t.boundary t
 let set_stalled t v = t.obf_stalled <- v
 let stalled t = t.obf_stalled
 let skipped_boundaries t = t.skipped

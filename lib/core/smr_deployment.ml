@@ -9,6 +9,7 @@ module Keyspace = Fortress_defense.Keyspace
 module Instance = Fortress_defense.Instance
 module Prng = Fortress_util.Prng
 module Nonce = Fortress_crypto.Nonce
+module Event = Fortress_obs.Event
 
 type config = {
   n : int;
@@ -39,6 +40,7 @@ type t = {
   instances : Instance.t array;
   addresses : Address.t array;
   comp : bool array;
+  mutable daemon : Obfuscation.t option;
 }
 
 let create cfg =
@@ -76,7 +78,7 @@ let create cfg =
       Network.set_handler net addr (fun ~src msg -> Smr.handle replicas.(i) ~src msg))
     addresses;
   Array.iter Smr.start replicas;
-  { cfg; engine; net; replicas; instances; addresses; comp = Array.make cfg.n false }
+  { cfg; engine; net; replicas; instances; addresses; comp = Array.make cfg.n false; daemon = None }
 
 let engine t = t.engine
 let attach_telemetry ?window ?capacity ?alarms ?params t =
@@ -104,7 +106,11 @@ let symptoms t =
     !acc
   end
 
+(* The client emits the same [Request_submitted] / [Request_completed]
+   pair the fortress {!Client} emits, so workload accounting — timelines,
+   goodput windows — reads one event stream on either stack. *)
 type client = {
+  c_engine : Engine.t;
   c_net : Smr.msg Network.t;
   c_self : Address.t;
   c_addresses : Address.t array;
@@ -121,6 +127,7 @@ let new_client t ~name =
   in
   let client =
     {
+      c_engine = t.engine;
       c_net = t.net;
       c_self = self;
       c_addresses = t.addresses;
@@ -136,9 +143,11 @@ let new_client t ~name =
           match Smr.Voter.offer client.voter r with
           | Some response -> (
               client.c_accepted <- client.c_accepted + 1;
-              match Hashtbl.find_opt client.callbacks r.Smr.request_id with
+              let id = r.Smr.request_id in
+              match Hashtbl.find_opt client.callbacks id with
               | Some k ->
-                  Hashtbl.remove client.callbacks r.Smr.request_id;
+                  Hashtbl.remove client.callbacks id;
+                  Engine.emit t.engine (Event.Request_completed { id; accepted = true });
                   k response
               | None -> ())
           | None -> ())
@@ -152,6 +161,7 @@ let submit c ~cmd ~on_response =
     (fun dst ->
       Network.send c.c_net ~src:c.c_self ~dst (Smr.Request { id; cmd; reply_to = c.c_self }))
     c.c_addresses;
+  Engine.emit c.c_engine (Event.Request_submitted { id });
   id
 
 let client_accepted c = c.c_accepted
@@ -192,69 +202,32 @@ let batches t =
   in
   chunk [] [] 0 (List.init t.cfg.n Fun.id)
 
-type schedule = {
-  mutable sched_stalled : bool;
-  mutable sched_skipped : int;
-  mutable sched_period : float;
-  mutable sched_fire : unit -> unit;  (** run one boundary's batches immediately *)
-}
-
-(* Like Obfuscation.attach, the boundary series is a self-re-arming chain
-   of [schedule_at] events reading the (mutable) period at each re-arm —
-   body first, then re-arm at [now + period], one enqueue per boundary, so
-   a fixed-period run is byte-identical to the historical [Engine.every]
-   schedule. *)
-let attach_schedule ?(stagger = true) t ~mode ~period =
+(* Batches fire at the boundary itself and then one spacing apart; the
+   spacing reads the daemon's live period at each boundary, so a defender's
+   period change also respaces the batches of the next step. *)
+let obfuscate ?(stagger = true) t ~mode ~period =
+  if Option.is_some t.daemon then
+    invalid_arg "Smr_deployment.obfuscate: a daemon is already running";
   let bs = batches t in
   let nb = List.length bs in
-  let sched =
-    { sched_stalled = false; sched_skipped = 0; sched_period = period; sched_fire = ignore }
+  let daemon =
+    Obfuscation.start t.engine ~mode ~period (fun daemon ->
+        let spacing =
+          if stagger then Obfuscation.period daemon /. float_of_int (nb + 1) else 1.0
+        in
+        List.iteri
+          (fun bi batch ->
+            ignore
+              (Engine.schedule t.engine ~delay:(spacing *. float_of_int bi) (fun () ->
+                   match mode with
+                   | Obfuscation.PO -> rekey_batch t batch
+                   | Obfuscation.SO -> recover_batch t batch)))
+          bs)
   in
-  let fire_batches () =
-    let spacing = if stagger then sched.sched_period /. float_of_int (nb + 1) else 1.0 in
-    List.iteri
-      (fun bi batch ->
-        ignore
-          (Engine.schedule t.engine ~delay:(spacing *. float_of_int bi) (fun () ->
-               match mode with
-               | Obfuscation.PO -> rekey_batch t batch
-               | Obfuscation.SO -> recover_batch t batch)))
-      bs
-  in
-  sched.sched_fire <- fire_batches;
-  let rec arm () =
-    ignore
-      (Engine.schedule_at t.engine
-         ~time:(Engine.now t.engine +. sched.sched_period)
-         (fun () ->
-           (if sched.sched_stalled then begin
-              (* the daemon is wedged: the boundary silently does not happen,
-                 mirroring Obfuscation.set_stalled on the FORTRESS stack *)
-              sched.sched_skipped <- sched.sched_skipped + 1;
-              Engine.emit t.engine
-                (Fortress_obs.Event.Fault
-                   {
-                     action = "stall_skip";
-                     target = "obfuscation";
-                     detail =
-                       Printf.sprintf "%s boundary skipped" (Obfuscation.mode_to_string mode);
-                   })
-            end
-            else fire_batches ());
-           arm ()))
-  in
-  arm ();
-  sched
+  t.daemon <- Some daemon;
+  daemon
 
-let set_stalled sched v = sched.sched_stalled <- v
-let skipped_boundaries sched = sched.sched_skipped
-let schedule_period sched = sched.sched_period
-
-let set_schedule_period sched p =
-  if p <= 0.0 then invalid_arg "Smr_deployment.set_schedule_period: period must be positive";
-  sched.sched_period <- p
-
-let force_boundary sched = sched.sched_fire ()
+let obfuscation t = t.daemon
 
 let crash_replica t i =
   Network.set_down t.net t.addresses.(i);

@@ -4,10 +4,11 @@
 
     Each replica carries its own randomized-executable instance with a
     {e distinct} key (diverse randomization is S0's whole defence), and the
-    deployment implements the Roeder-Schneider obfuscation schedule:
+    deployment's {!Obfuscation} daemon runs the Roeder-Schneider schedule:
     batches of at most [f] replicas leave the system per boundary, are
     re-randomized (or merely recovered), and rejoin via state transfer from
-    the remaining majority — so the SMR service never stops. *)
+    the remaining majority — so the SMR service never stops. The same
+    deployment is the replica tier behind {!Smr_fortress}'s proxies. *)
 
 type config = {
   n : int;
@@ -58,7 +59,10 @@ type client
 val new_client : t -> name:string -> client
 val submit : client -> cmd:string -> on_response:(string -> unit) -> string
 (** Send to all replicas; [on_response] fires on the first f+1 matching,
-    validly signed replies. *)
+    validly signed replies. Emits [Request_submitted] after the fan-out
+    and [Request_completed] just before [on_response], as the fortress
+    {!Client} does, so workload accounting reads one event stream on
+    either stack. *)
 
 val client_accepted : client -> int
 
@@ -74,38 +78,23 @@ val recover_batch : t -> int list -> unit
 val batches : t -> int list list
 (** The ceil(n/f) batches of at most f replicas, covering every index. *)
 
-type schedule
-(** Handle on the batched obfuscation daemon, the SMR counterpart of
-    {!Obfuscation.t}: fault plans wedge it via {!set_stalled}. *)
+val obfuscate :
+  ?stagger:bool -> t -> mode:Obfuscation.mode -> period:float -> Obfuscation.t
+(** Start this deployment's obfuscation daemon and keep it: each boundary
+    runs the batches through {!rekey_batch} (PO) or {!recover_batch} (SO).
+    With [stagger] (the default, and what Roeder-Schneider deployment
+    constraints force) the batches are spaced evenly inside each step, at
+    the daemon's live period over the batch count plus one, so the SMR
+    system always has a 2f+1 quorum of settled replicas; with
+    [stagger:false] every batch fires back-to-back at the boundary, which
+    aligns all replicas' exposure windows — measurably stronger against the
+    simultaneity condition (see EXPERIMENTS.md V3) but only deployable when
+    recovery is fast enough to overlap. {!Obfuscation.fire} runs one
+    boundary's batches at once. Raises [Invalid_argument] if a daemon is
+    already running. *)
 
-val attach_schedule : ?stagger:bool -> t -> mode:Obfuscation.mode -> period:float -> schedule
-(** Run batched obfuscation/recovery. With [stagger] (the default, and what
-    Roeder-Schneider deployment constraints force) the batches are spaced
-    evenly inside each step so the SMR system always has a 2f+1 quorum of
-    settled replicas; with [stagger:false] every batch fires back-to-back at
-    the boundary, which aligns all replicas' exposure windows — measurably
-    stronger against the simultaneity condition (see EXPERIMENTS.md V3) but
-    only deployable when recovery is fast enough to overlap. *)
-
-val set_stalled : schedule -> bool -> unit
-(** Wedge (or unwedge) the daemon: while stalled each boundary elapses
-    without rekey or recovery, emitting a ["stall_skip"] fault event —
-    mirroring {!Obfuscation.set_stalled} on the FORTRESS stack. *)
-
-val skipped_boundaries : schedule -> int
-
-val schedule_period : schedule -> float
-(** The current boundary spacing (mutable via {!set_schedule_period}). *)
-
-val set_schedule_period : schedule -> float -> unit
-(** Defender actuator, mirroring {!Obfuscation.set_period}: takes effect
-    when the already-armed boundary fires (the next interval). Raises
-    [Invalid_argument] on a non-positive period. *)
-
-val force_boundary : schedule -> unit
-(** Defender actuator: run one boundary's rekey/recovery batches
-    immediately, even while the daemon is stalled — the controller's
-    recovery-priority escape hatch. Does not disturb the periodic chain. *)
+val obfuscation : t -> Obfuscation.t option
+(** The daemon {!obfuscate} started, if any. *)
 
 (** {1 Crash faults} *)
 

@@ -1,17 +1,14 @@
 module Engine = Fortress_sim.Engine
 module Network = Fortress_net.Network
-module Latency = Fortress_net.Latency
 module Address = Fortress_net.Address
 module Sign = Fortress_crypto.Sign
 module Nonce = Fortress_crypto.Nonce
 module Smr = Fortress_replication.Smr
-module Dsm = Fortress_replication.Dsm
 module Keyspace = Fortress_defense.Keyspace
 module Instance = Fortress_defense.Instance
 module Prng = Fortress_util.Prng
 
 type msg =
-  | Server of Smr.msg
   | Client_request of { id : string; cmd : string; client : Address.t }
   | Client_reply of {
       reply : Smr.reply;
@@ -26,30 +23,18 @@ let over_sign_payload ~reply ~proxy_index =
     proxy_index
 
 type config = {
+  tier : Smr_deployment.config;
   np : int;
-  n : int;
-  f : int;
-  service : Dsm.t;
-  keyspace : Keyspace.t;
-  smr : Smr.config;
   proxy_detection_window : float;
   proxy_detection_threshold : int;
-  latency : Latency.t;
-  seed : int;
 }
 
 let default_config =
   {
+    tier = Smr_deployment.default_config;
     np = 3;
-    n = 4;
-    f = 1;
-    service = Fortress_replication.Services.kv;
-    keyspace = Keyspace.pax_aslr_32bit;
-    smr = Smr.default_config;
     proxy_detection_window = 100.0;
     proxy_detection_threshold = 10;
-    latency = Latency.constant 0.5;
-    seed = 0;
   }
 
 (* A proxy's view of one outstanding request. *)
@@ -58,7 +43,8 @@ type pending = { mutable waiting : Address.t list; mutable answered : bool }
 type proxy = {
   p_index : int;
   p_secret : Sign.secret_key;
-  p_self : Address.t;
+  p_self : Address.t;  (** on the front network *)
+  p_tier : Address.t;  (** on the tier's network *)
   voter : Smr.Voter.t;
   p_pending : (string, pending) Hashtbl.t;
   invalid_log : (Address.t, float Queue.t) Hashtbl.t;
@@ -70,36 +56,34 @@ type proxy = {
 
 type t = {
   cfg : config;
-  engine : Engine.t;
-  net : msg Network.t;
-  replicas : Smr.replica array;
+  tier : Smr_deployment.t;
+  front : msg Network.t;
   proxies : proxy array;
   proxy_instances : Instance.t array;
-  server_instances : Instance.t array;
-  server_addresses : Address.t array;
-  proxy_addresses : Address.t array;
-  server_comp : bool array;
-  proxy_comp : bool array;
 }
 
-let rec distinct_key ks prng avoid =
-  let k = Keyspace.random_key ks prng in
-  if List.mem k avoid then distinct_key ks prng avoid else k
+let engine t = Smr_deployment.engine t.tier
 
-let diverse_instances ks prng count =
-  let used = ref [] in
-  Array.init count (fun _ ->
-      let inst = Instance.create ks prng in
-      let k = distinct_key ks prng !used in
+(* Fresh proxy keys, distinct from each other and from every current
+   replica key, so np + n keys are in use. *)
+let assign_proxy_keys tier keyspace prng instances =
+  let used = ref (Array.to_list (Array.map Instance.key (Smr_deployment.instances tier))) in
+  Array.iter
+    (fun inst ->
+      let rec fresh () =
+        let k = Keyspace.random_key keyspace prng in
+        if List.mem k !used then fresh () else k
+      in
+      let k = fresh () in
       used := k :: !used;
-      Instance.set_key inst k;
-      inst)
+      Instance.set_key inst k)
+    instances
 
 (* ---- proxy behaviour ---- *)
 
 let note_invalid t proxy src =
   proxy.invalid_total <- proxy.invalid_total + 1;
-  let now = Engine.now t.engine in
+  let now = Engine.now (engine t) in
   let q =
     match Hashtbl.find_opt proxy.invalid_log src with
     | Some q -> q
@@ -129,11 +113,12 @@ let proxy_handle_request t proxy ~src ~id ~cmd ~client =
             p
       in
       if not (List.mem client entry.waiting) then entry.waiting <- client :: entry.waiting;
+      let tier_net = Smr_deployment.network t.tier in
       Array.iter
         (fun dst ->
-          Network.send t.net ~src:proxy.p_self ~dst
-            (Server (Smr.Request { id; cmd; reply_to = proxy.p_self })))
-        t.server_addresses
+          Network.send tier_net ~src:proxy.p_tier ~dst
+            (Smr.Request { id; cmd; reply_to = proxy.p_tier }))
+        (Smr_deployment.addresses t.tier)
     end
   end
 
@@ -154,63 +139,35 @@ let proxy_handle_reply t proxy (reply : Smr.reply) =
             List.iter
               (fun client ->
                 proxy.p_relayed <- proxy.p_relayed + 1;
-                Network.send t.net ~src:proxy.p_self ~dst:client
+                Network.send t.front ~src:proxy.p_self ~dst:client
                   (Client_reply { reply; proxy_index = proxy.p_index; proxy_signature }))
               entry.waiting;
             entry.waiting <- []
           end)
 
-let proxy_handler t proxy ~src msg =
-  if not proxy.p_compromised then
-    match msg with
-    | Client_request { id; cmd; client } -> proxy_handle_request t proxy ~src ~id ~cmd ~client
-    | Server (Smr.Reply reply) -> proxy_handle_reply t proxy reply
-    | Server _ | Client_reply _ -> ()
-
 (* ---- construction ---- *)
 
 let create cfg =
   if cfg.np < 1 then invalid_arg "Smr_fortress.create: np must be >= 1";
-  let engine = Engine.create ~prng:(Prng.create ~seed:cfg.seed) () in
+  let tier = Smr_deployment.create cfg.tier in
+  let engine = Smr_deployment.engine tier in
   let prng = Engine.prng engine in
-  let net = Network.create ~latency:cfg.latency engine in
-  let server_addresses =
-    Array.init cfg.n (fun i ->
-        Network.register net ~name:(Printf.sprintf "smr-server%d" i)
-          ~handler:(fun ~src:_ _ -> ()))
-  in
-  let proxy_addresses =
-    Array.init cfg.np (fun i ->
-        Network.register net ~name:(Printf.sprintf "smr-proxy%d" i)
-          ~handler:(fun ~src:_ _ -> ()))
-  in
-  let server_instances = diverse_instances cfg.keyspace prng cfg.n in
-  let proxy_instances = diverse_instances cfg.keyspace prng cfg.np in
-  let smr_config = { cfg.smr with Smr.n = cfg.n; f = cfg.f } in
-  let replicas =
-    Array.init cfg.n (fun i ->
-        let secret, _ = Sign.generate prng in
-        Smr.create ~engine ~config:smr_config ~index:i ~service:cfg.service ~secret
-          ~self:server_addresses.(i) ~addresses:server_addresses
-          ~send:(fun ~dst msg -> Network.send net ~src:server_addresses.(i) ~dst (Server msg)))
-  in
-  Array.iteri
-    (fun i addr ->
-      Network.set_handler net addr (fun ~src msg ->
-          match msg with
-          | Server m -> Smr.handle replicas.(i) ~src m
-          | Client_request _ | Client_reply _ -> ()))
-    server_addresses;
-  Array.iter Smr.start replicas;
-  let server_keys = Array.map Smr.public_key replicas in
+  let front = Network.create ~latency:cfg.tier.Smr_deployment.latency engine in
+  let tier_net = Smr_deployment.network tier in
+  let keyspace = cfg.tier.Smr_deployment.keyspace in
+  let proxy_instances = Array.init cfg.np (fun _ -> Instance.create keyspace prng) in
+  assign_proxy_keys tier keyspace prng proxy_instances;
+  let server_keys = Array.map Smr.public_key (Smr_deployment.replicas tier) in
   let proxies =
     Array.init cfg.np (fun i ->
         let secret, _ = Sign.generate prng in
+        let name = Printf.sprintf "smr-proxy%d" i in
         {
           p_index = i;
           p_secret = secret;
-          p_self = proxy_addresses.(i);
-          voter = Smr.Voter.create ~f:cfg.f ~public_keys:server_keys;
+          p_self = Network.register front ~name ~handler:(fun ~src:_ _ -> ());
+          p_tier = Network.register tier_net ~name ~handler:(fun ~src:_ _ -> ());
+          voter = Smr.Voter.create ~f:cfg.tier.Smr_deployment.f ~public_keys:server_keys;
           p_pending = Hashtbl.create 32;
           invalid_log = Hashtbl.create 16;
           blocked = Hashtbl.create 16;
@@ -219,31 +176,24 @@ let create cfg =
           p_compromised = false;
         })
   in
-  let t =
-    {
-      cfg;
-      engine;
-      net;
-      replicas;
-      proxies;
-      proxy_instances;
-      server_instances;
-      server_addresses;
-      proxy_addresses;
-      server_comp = Array.make cfg.n false;
-      proxy_comp = Array.make cfg.np false;
-    }
-  in
-  Array.iteri
-    (fun i addr ->
-      Network.set_handler net addr (fun ~src msg -> proxy_handler t t.proxies.(i) ~src msg))
-    proxy_addresses;
+  let t = { cfg; tier; front; proxies; proxy_instances } in
+  (* an intruded proxy answers nothing, on either network *)
+  Array.iter
+    (fun p ->
+      Network.set_handler front p.p_self (fun ~src msg ->
+          match msg with
+          | Client_request { id; cmd; client } when not p.p_compromised ->
+              proxy_handle_request t p ~src ~id ~cmd ~client
+          | Client_request _ | Client_reply _ -> ());
+      Network.set_handler tier_net p.p_tier (fun ~src:_ msg ->
+          match msg with
+          | Smr.Reply reply when not p.p_compromised -> proxy_handle_reply t p reply
+          | _ -> ()))
+    proxies;
   t
 
-let engine t = t.engine
-let replicas t = t.replicas
+let tier t = t.tier
 let proxy_instances t = t.proxy_instances
-let server_instances t = t.server_instances
 let proxy_invalid_observed t i = t.proxies.(i).invalid_total
 let proxy_is_blocked t i src = Hashtbl.mem t.proxies.(i).blocked src
 let proxy_relayed t i = t.proxies.(i).p_relayed
@@ -263,21 +213,21 @@ type client = {
 }
 
 let new_client t ~name =
-  let self = Network.register t.net ~name ~handler:(fun ~src:_ _ -> ()) in
+  let self = Network.register t.front ~name ~handler:(fun ~src:_ _ -> ()) in
   let client =
     {
-      c_net = t.net;
+      c_net = t.front;
       c_self = self;
-      c_proxy_addresses = t.proxy_addresses;
+      c_proxy_addresses = Array.map (fun p -> p.p_self) t.proxies;
       c_proxy_keys = Array.map (fun p -> Sign.public_of_secret p.p_secret) t.proxies;
-      c_server_keys = Array.map Smr.public_key t.replicas;
-      nonce_source = Nonce.source (Prng.split (Engine.prng t.engine));
+      c_server_keys = Array.map Smr.public_key (Smr_deployment.replicas t.tier);
+      nonce_source = Nonce.source (Prng.split (Engine.prng (engine t)));
       callbacks = Hashtbl.create 16;
       c_accepted = 0;
       c_rejected = 0;
     }
   in
-  Network.set_handler t.net self (fun ~src:_ msg ->
+  Network.set_handler t.front self (fun ~src:_ msg ->
       match msg with
       | Client_reply { reply; proxy_index; proxy_signature } ->
           let proxy_ok =
@@ -301,7 +251,7 @@ let new_client t ~name =
                 k reply.Smr.response
             | None -> () (* duplicate from another proxy *))
           else client.c_rejected <- client.c_rejected + 1
-      | Server _ | Client_request _ -> ());
+      | Client_request _ -> ());
   client
 
 let submit c ~cmd ~on_response =
@@ -319,91 +269,23 @@ let client_rejected c = c.c_rejected
 (* ---- obfuscation ---- *)
 
 let rekey_proxies t =
-  let prng = Engine.prng t.engine in
-  let used = ref [] in
-  Array.iteri
-    (fun i inst ->
-      let k = distinct_key t.cfg.keyspace prng !used in
-      used := k :: !used;
-      Instance.set_key inst k;
-      t.proxy_comp.(i) <- false;
-      t.proxies.(i).p_compromised <- false)
-    t.proxy_instances
+  assign_proxy_keys t.tier t.cfg.tier.Smr_deployment.keyspace (Engine.prng (engine t))
+    t.proxy_instances;
+  Array.iter (fun p -> p.p_compromised <- false) t.proxies
 
-let cycle_server t i ~fresh_key =
-  let replica = t.replicas.(i) in
-  Smr.stop replica;
-  Network.set_down t.net t.server_addresses.(i);
-  (if fresh_key then begin
-     let prng = Engine.prng t.engine in
-     let rec fresh () =
-       let k = Keyspace.random_key t.cfg.keyspace prng in
-       let clash =
-         Array.exists
-           (fun inst -> inst != t.server_instances.(i) && Instance.key inst = k)
-           t.server_instances
-       in
-       if clash then fresh () else k
-     in
-     Instance.set_key t.server_instances.(i) (fresh ())
-   end
-   else Instance.recover t.server_instances.(i));
-  t.server_comp.(i) <- false;
-  Smr.set_compromised replica false;
+let recover_proxies t =
+  Array.iter Instance.recover t.proxy_instances;
+  Array.iter (fun p -> p.p_compromised <- false) t.proxies
+
+let obfuscate t ~mode ~period =
   ignore
-    (Engine.schedule t.engine ~delay:0.5 (fun () ->
-         Network.set_up t.net t.server_addresses.(i);
-         Smr.restart replica;
-         Smr.begin_state_transfer replica))
-
-let rekey_server_batch t batch = List.iter (fun i -> cycle_server t i ~fresh_key:true) batch
-
-let batches t =
-  let rec chunk acc current count = function
-    | [] -> List.rev (if current = [] then acc else List.rev current :: acc)
-    | i :: rest ->
-        if count = t.cfg.f then chunk (List.rev current :: acc) [ i ] 1 rest
-        else chunk acc (i :: current) (count + 1) rest
-  in
-  chunk [] [] 0 (List.init t.cfg.n Fun.id)
-
-let attach_schedule t ~mode ~period =
-  let bs = batches t in
-  let nb = List.length bs in
-  let spacing = period /. float_of_int (nb + 1) in
-  ignore
-    (Engine.every t.engine ~period (fun () ->
-         (match mode with
-         | Obfuscation.PO -> rekey_proxies t
-         | Obfuscation.SO ->
-             Array.iter Instance.recover t.proxy_instances;
-             Array.iteri
-               (fun i p ->
-                 t.proxy_comp.(i) <- false;
-                 p.p_compromised <- false)
-               t.proxies);
-         List.iteri
-           (fun bi batch ->
-             ignore
-               (Engine.schedule t.engine ~delay:(spacing *. float_of_int bi) (fun () ->
-                    List.iter
-                      (fun i ->
-                        cycle_server t i
-                          ~fresh_key:(match mode with Obfuscation.PO -> true | Obfuscation.SO -> false))
-                      batch)))
-           bs))
+    (Obfuscation.start (engine t) ~mode ~period (fun _ ->
+         match mode with Obfuscation.PO -> rekey_proxies t | Obfuscation.SO -> recover_proxies t));
+  ignore (Smr_deployment.obfuscate t.tier ~mode ~period)
 
 (* ---- compromise bookkeeping ---- *)
 
-let compromise_server t i =
-  t.server_comp.(i) <- true;
-  Smr.set_compromised t.replicas.(i) true
-
-let compromise_proxy t i =
-  t.proxy_comp.(i) <- true;
-  t.proxies.(i).p_compromised <- true
+let compromise_proxy t i = t.proxies.(i).p_compromised <- true
 
 let system_compromised t =
-  let servers_down = Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 t.server_comp in
-  let proxies_down = Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 t.proxy_comp in
-  servers_down > t.cfg.f || proxies_down = t.cfg.np
+  Smr_deployment.system_compromised t.tier || Array.for_all (fun p -> p.p_compromised) t.proxies

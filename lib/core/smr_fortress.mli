@@ -3,53 +3,58 @@
     The architecture separates surviving attacks from service replication:
     the fortified tier "may not even be replicated; if replicated, it can
     be by PB or SMR" (paper section 1). This module is the SMR variant:
-    np proxies front an n = 3f + 1 Byzantine-agreement tier. Each proxy
-    votes over the servers' signed replies ([f + 1] matching) before
-    over-signing one representative reply and relaying it; the client needs
+    np proxies in front of an {!Smr_deployment}, an n = 3f + 1
+    Byzantine-agreement tier. Clients reach the proxies over a front
+    network of their own; each proxy keeps one node on the tier's network,
+    votes over the replicas' signed replies ([f + 1] matching) and
+    over-signs one representative reply to relay it. The client needs
     only the usual two authentic signatures, so the client protocol is
     identical to the primary-backup variant — replication is invisible
     behind the proxies, as in Saidane et al.
 
-    Unlike the PB tier (one shared key), SMR replicas execute
-    independently, so nothing forces identical randomization: each replica
-    gets its own key (diverse randomization, as in S0), and obfuscation
-    uses the batched Roeder-Schneider schedule so the tier never stops. *)
+    The tier is a whole {!Smr_deployment}, reached through {!tier}: its
+    diverse replica keys, batched Roeder-Schneider obfuscation daemon,
+    crash/restart faults, telemetry and compromise bookkeeping are the S0
+    stack's own. This module adds only the proxies and their keys, which
+    are drawn distinct from each other and from every current replica key
+    (np + n keys in use). The tier's batch rekeys check only against
+    replica keys, so a replica rekeyed after the proxies may land on a
+    proxy's key; the tier stays unaware of the proxies. *)
 
 type msg =
-  | Server of Fortress_replication.Smr.msg
   | Client_request of { id : string; cmd : string; client : Fortress_net.Address.t }
   | Client_reply of {
       reply : Fortress_replication.Smr.reply;
       proxy_index : int;
       proxy_signature : Fortress_crypto.Sign.signature;
     }
+      (** The front network's messages; the proxies speak
+          {!Fortress_replication.Smr.msg} to the tier. *)
 
 val over_sign_payload : reply:Fortress_replication.Smr.reply -> proxy_index:int -> string
 
 type config = {
+  tier : Smr_deployment.config;
+      (** the replica tier; its latency also serves the front network and
+          its keyspace the proxies *)
   np : int;
-  n : int;
-  f : int;
-  service : Fortress_replication.Dsm.t;
-  keyspace : Fortress_defense.Keyspace.t;
-  smr : Fortress_replication.Smr.config;  (** [n], [f] overridden *)
   proxy_detection_window : float;
   proxy_detection_threshold : int;
-  latency : Fortress_net.Latency.t;
-  seed : int;
 }
 
 val default_config : config
-(** np = 3 proxies over n = 4 / f = 1, kv service, chi = 2^16. *)
+(** np = 3 proxies over {!Smr_deployment.default_config} (n = 4 / f = 1,
+    kv service, chi = 2^16). *)
 
 type t
 
 val create : config -> t
 val engine : t -> Fortress_sim.Engine.t
-val replicas : t -> Fortress_replication.Smr.replica array
-val proxy_instances : t -> Fortress_defense.Instance.t array
-val server_instances : t -> Fortress_defense.Instance.t array
 
+val tier : t -> Smr_deployment.t
+(** The replica tier behind the proxies. *)
+
+val proxy_instances : t -> Fortress_defense.Instance.t array
 val proxy_invalid_observed : t -> int -> int
 val proxy_is_blocked : t -> int -> Fortress_net.Address.t -> bool
 val proxy_relayed : t -> int -> int
@@ -67,22 +72,22 @@ val client_rejected : client -> int
 (** {1 Obfuscation} *)
 
 val rekey_proxies : t -> unit
-(** Fresh distinct keys for all proxies (instant — proxies are stateless). *)
+(** Fresh keys for all proxies, distinct from each other and from every
+    current replica key (instant — proxies are stateless). *)
 
-val rekey_server_batch : t -> int list -> unit
-(** Re-randomize and recover the given replicas; they rejoin via state
-    transfer from the remaining majority. *)
-
-val batches : t -> int list list
-val attach_schedule : t -> mode:Obfuscation.mode -> period:float -> unit
-(** Each period: proxies rekey at the boundary and the server batches cycle
-    inside the step, at most [f] at a time. *)
+val obfuscate : t -> mode:Obfuscation.mode -> period:float -> unit
+(** Each period the proxies rekey (PO) or recover (SO) at the boundary,
+    then the tier's own daemon ({!Smr_deployment.obfuscate}) cycles its
+    batches inside the step, at most [f] at a time. The proxies' boundary
+    is armed first, so at a shared instant the proxies move before the
+    tier's first batch. *)
 
 (** {1 Compromise bookkeeping} *)
 
-val compromise_server : t -> int -> unit
 val compromise_proxy : t -> int -> unit
+
 val system_compromised : t -> bool
-(** More than [f] servers compromised, or all proxies. A single intruded
-    replica is {e tolerated} here — the vote masks it — which is precisely
-    what the PB tier cannot offer. *)
+(** More than [f] replicas compromised ({!Smr_deployment.compromise} on
+    {!tier}), or all proxies. A single intruded replica is {e tolerated}
+    here — the vote masks it — which is precisely what the PB tier cannot
+    offer. *)

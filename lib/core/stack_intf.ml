@@ -1,18 +1,20 @@
-(** The shared stack signature both deployments implement.
+(** The shared stack signature both deployments meet.
 
-    {!Fortress_stack} (the paper's fortified S1/S2 systems) and
-    {!Smr_stack} (the S0 SMR baseline) satisfy [S], so everything that
-    drives a stack from the outside — the {!Defense_control} wiring, the
-    fault-injection experiment loop, and the [fortress_load] workload
-    plane — is written once against the signature instead of twice per
-    stack.
+    [Fortress_exp.Stack_driver.Fortress] (the paper's fortified S1/S2
+    systems, over a {!Deployment.t}) and [Fortress_exp.Stack_driver.Smr]
+    (the S0 SMR baseline, over an {!Smr_deployment.t}) implement [S]
+    directly, so everything that drives a stack from the outside — the
+    {!Defense_control} wiring, the fault-injection experiment loop, and the
+    [fortress_load] workload plane — is written once against the signature
+    instead of twice per stack. Each deployment keeps its own
+    {!Obfuscation} daemon, which is where the rekey-period knobs act.
 
     The signature covers the four surfaces an external driver needs:
 
     - {b requests}: [new_client] / [submit] / [client_accepted]. Both
-      stacks emit [Request_submitted] / [Request_completed] events on the
-      engine's sink for every accepted request, so workload accounting
-      reads one event stream regardless of stack.
+      stacks' clients emit [Request_submitted] / [Request_completed] events
+      on the engine's sink for every accepted request, so workload
+      accounting reads one event stream regardless of stack.
     - {b symptoms}: the pure read-only {!Symptom.t} surface.
     - {b defense actuators}: rekey-period and threshold knobs plus
       immediate rekey/recovery boosts. The actuators are plain calls —
@@ -45,7 +47,7 @@ module type S = sig
 
   val rekey_period : t -> float
   (** The live obfuscation boundary spacing. Raises [Invalid_argument]
-      if the stack has no obfuscation schedule attached. *)
+      if the stack's obfuscation daemon is not running. *)
 
   val set_rekey_period : t -> float -> unit
   val default_threshold : t -> int

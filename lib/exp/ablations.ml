@@ -145,7 +145,7 @@ let detection_table ?(thresholds = [ 2; 5; 10; 50; 1000 ]) ?(steps = 15) () =
             seed = 7;
           }
       in
-      let _sched = Obfuscation.attach deployment ~mode:Obfuscation.PO ~period:100.0 in
+      ignore (Deployment.obfuscate deployment ~mode:Obfuscation.PO ~period:100.0);
       let campaign =
         Campaign.launch deployment
           (Campaign.make_config ~omega:32 ~kappa:1.0 ~period:100.0 ~seed:11 ())

@@ -23,7 +23,7 @@ let run_one ~omega ~requests ~horizon ~chi ~seed =
       { Deployment.default_config with keyspace = Keyspace.of_size chi; seed }
   in
   let engine = Deployment.engine deployment in
-  ignore (Obfuscation.attach deployment ~mode:Obfuscation.PO ~period);
+  ignore (Deployment.obfuscate deployment ~mode:Obfuscation.PO ~period);
   let client = Deployment.new_client deployment ~name:"workload" in
   let rtts = Stats.create () in
   let served = ref 0 in

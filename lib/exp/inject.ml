@@ -125,7 +125,13 @@ let stack_trial (type s) (module D : Stack_driver.S with type t = s) ?strategy ?
   (* the defender arms after the obfuscation daemon, so at a shared
      boundary time the rekey lands (closing the telemetry window) before
      the controller observes it *)
-  let defense = Option.map (fun s -> D.attach_defense stack s) defender in
+  let defense =
+    Option.map
+      (Fortress_core.Defense_control.attach
+         (module D : Fortress_core.Stack_intf.S with type t = s)
+         stack)
+      defender
+  in
   if D.default_workload then begin
     let client = D.new_client stack ~name:"workload" in
     let n = ref 0 in

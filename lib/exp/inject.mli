@@ -15,8 +15,10 @@
     carries an {!adapt} section comparing the strategy against the
     oblivious reference on the same paired seeds. Passing [?defender]
     symmetrically arms a {!Fortress_defense.Controller} over the trial's
-    telemetry plane (wired by {!Fortress_core.Defense_control}); the
-    report then carries a {!defend} section against the static reference.
+    telemetry plane, wired by {!Fortress_core.Defense_control.attach} over
+    the trial's {!Stack_driver} stack, where it turns the deployment's own
+    obfuscation daemon; the report then carries a {!defend} section
+    against the static reference.
     {!run_game} runs the full attacker x defender cross. *)
 
 type config = {
@@ -118,8 +120,8 @@ val run_smr_plan :
     {!Fortress_faults.Wiring.smr}. Without {!config.load} this path runs
     no client at all, so [availability] is [None]; with a load spec the
     workload plane drives the replicas and availability is measured, not
-    fabricated. The defender steers the batched schedule through the
-    shared {!Fortress_core.Stack_intf.S} surface. *)
+    fabricated. The defender steers the deployment's batched obfuscation
+    daemon through the shared {!Fortress_core.Stack_intf.S} surface. *)
 
 val find_defender : string -> Fortress_defense.Controller.Strategy.t option
 (** The controller built-ins plus ["mdp"] (the value-iteration

@@ -90,7 +90,7 @@ let campaign_lifetime ?sink ~chi ~omega ~kappa ~seed () =
         (Sink.attach
            (Fortress_sim.Engine.sink (Deployment.engine deployment))
            (Sink.forward downstream)));
-  ignore (Obfuscation.attach deployment ~mode:Obfuscation.PO ~period);
+  ignore (Deployment.obfuscate deployment ~mode:Obfuscation.PO ~period);
   let campaign =
     Campaign.launch deployment
       (Campaign.make_config ~omega ~kappa ~period ~seed:(seed + 7919) ())

@@ -24,7 +24,12 @@ type 'msg deployment = {
 let absent target =
   invalid_arg (Printf.sprintf "Wiring: no %s in this deployment" (Plan.target_to_string target))
 
-let fortress ?obfuscation d =
+(* The daemon is looked up when the action fires, so a plan installed
+   before the deployment's daemon starts still wedges it; a deployment
+   with no daemon has nothing to wedge. *)
+let stall daemon v = Option.iter (fun o -> Obfuscation.set_stalled o v) daemon
+
+let fortress d =
   let node addresses i target =
     if i < 0 || i >= Array.length addresses then absent target;
     addresses.(i)
@@ -59,7 +64,7 @@ let fortress ?obfuscation d =
       | Plan.Proxy i -> Deployment.restart_proxy d i
       | Plan.Nameserver -> Deployment.restart_nameserver d
       | Plan.Replica _ as target -> absent target);
-    set_stalled = (fun v -> Option.iter (fun o -> Obfuscation.set_stalled o v) obfuscation);
+    set_stalled = (fun v -> stall (Deployment.obfuscation d) v);
   }
 
 (* S0 has one tier of n replicas, so every plan target folds onto it:
@@ -69,7 +74,7 @@ let fortress ?obfuscation d =
    The nameserver has no S0 counterpart; crashing or restarting it is
    skipped with a visible event rather than rejected, so one plan drives
    both stacks. *)
-let smr ?schedule d =
+let smr d =
   let engine = Smr_deployment.engine d in
   let addresses = Smr_deployment.addresses d in
   let n = Array.length addresses in
@@ -114,7 +119,7 @@ let smr ?schedule d =
       (function
       | Plan.Nameserver -> skip_nameserver "restart"
       | target -> Smr_deployment.restart_replica d (replica target));
-    set_stalled = (fun v -> Option.iter (fun s -> Smr_deployment.set_stalled s v) schedule);
+    set_stalled = (fun v -> stall (Smr_deployment.obfuscation d) v);
   }
 
 type 'msg handle = {

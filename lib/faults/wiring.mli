@@ -12,19 +12,11 @@ type 'msg deployment
 (** A deployment as the interpreter sees it: engine, network, corrupter,
     how plan targets resolve, and the crash / restart / stall switches. *)
 
-val fortress :
-  ?obfuscation:Fortress_core.Obfuscation.t ->
-  Fortress_core.Deployment.t ->
-  Fortress_core.Message.t deployment
+val fortress : Fortress_core.Deployment.t -> Fortress_core.Message.t deployment
 (** The FORTRESS stack: [Server i] and [Proxy i] name its nodes and
-    [Nameserver] its directory; a [Replica] target is rejected. Pass
-    [?obfuscation] to let [Stall_obfuscation] actions reach the rekey
-    daemon; without it they emit their events but wedge nothing. *)
+    [Nameserver] its directory; a [Replica] target is rejected. *)
 
-val smr :
-  ?schedule:Fortress_core.Smr_deployment.schedule ->
-  Fortress_core.Smr_deployment.t ->
-  Fortress_replication.Smr.msg deployment
+val smr : Fortress_core.Smr_deployment.t -> Fortress_replication.Smr.msg deployment
 (** The 1-tier SMR stack (S0). Every plan target folds onto its single
     replica tier:
 
@@ -35,8 +27,12 @@ val smr :
     - crashing or restarting the [Nameserver] is {e skipped} with a
       visible [skip] fault event (S0 has no directory), not rejected.
 
-    [Stall_obfuscation] / [Resume_obfuscation] act on [?schedule] when
-    one is passed. *)
+    On either stack, [Stall_obfuscation] / [Resume_obfuscation] wedge and
+    unwedge the deployment's own obfuscation daemon
+    ({!Fortress_core.Deployment.obfuscation},
+    {!Fortress_core.Smr_deployment.obfuscation}), looked up when the action
+    fires. A deployment with no daemon still gets the actions' [stall] /
+    [resume] fault events; nothing is wedged. *)
 
 type 'msg handle
 

@@ -88,7 +88,7 @@ let prop_directive_applies_only_at_boundary =
     (fun (offset, kappa) ->
       let offset = Float.max 0.1 offset in
       let d = observed_deployment () in
-      ignore (Obfuscation.attach d ~mode:Obfuscation.PO ~period:100.0);
+      ignore (Deployment.obfuscate d ~mode:Obfuscation.PO ~period:100.0);
       let c =
         Campaign.launch ~strategy:Adaptive.Strategy.oblivious d
           (Campaign.make_config ~omega:4 ~kappa:0.5 ~period:100.0 ~seed:7 ())
@@ -109,7 +109,7 @@ let prop_directive_applies_only_at_boundary =
 
 let test_staged_directive_merges_last_wins () =
   let d = observed_deployment () in
-  ignore (Obfuscation.attach d ~mode:Obfuscation.PO ~period:100.0);
+  ignore (Deployment.obfuscate d ~mode:Obfuscation.PO ~period:100.0);
   let c =
     Campaign.launch ~strategy:Adaptive.Strategy.oblivious d
       (Campaign.make_config ~omega:4 ~kappa:0.5 ~period:100.0 ~seed:7 ())
@@ -127,7 +127,7 @@ let test_staged_directive_merges_last_wins () =
 
 let test_oblivious_campaign_settings_never_move () =
   let d = observed_deployment () in
-  ignore (Obfuscation.attach d ~mode:Obfuscation.PO ~period:100.0);
+  ignore (Deployment.obfuscate d ~mode:Obfuscation.PO ~period:100.0);
   let c =
     Campaign.launch ~strategy:Adaptive.Strategy.oblivious d
       (Campaign.make_config ~omega:4 ~kappa:0.5 ~period:100.0 ~seed:7 ())
@@ -145,7 +145,7 @@ let observed_smr_campaign () =
     Smr_deployment.create
       { Smr_deployment.default_config with keyspace = Keyspace.of_size (1 lsl 12); seed = 3 }
   in
-  ignore (Smr_deployment.attach_schedule d ~mode:Obfuscation.PO ~period:100.0);
+  ignore (Smr_deployment.obfuscate d ~mode:Obfuscation.PO ~period:100.0);
   let c =
     Smr_campaign.launch ~strategy:Adaptive.Strategy.oblivious d
       (Smr_campaign.make_config ~omega:4 ~seed:7 ())

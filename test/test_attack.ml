@@ -306,7 +306,7 @@ let small_deployment ?(threshold = 10) ?(keys = 64) ?(seed = 3) () =
 
 let test_campaign_compromises_small_keyspace () =
   let d = small_deployment () in
-  ignore (Obfuscation.attach d ~mode:Obfuscation.PO ~period:100.0);
+  ignore (Deployment.obfuscate d ~mode:Obfuscation.PO ~period:100.0);
   let campaign =
     Campaign.launch d (Campaign.make_config ~omega:16 ~kappa:0.5 ~period:100.0 ~seed:0 ())
   in
@@ -321,7 +321,7 @@ let test_campaign_po_outlives_so () =
   (* same attacker, same chi: the SO system falls first on average *)
   let lifetime mode seed =
     let d = small_deployment ~keys:256 ~seed () in
-    ignore (Obfuscation.attach d ~mode ~period:100.0);
+    ignore (Deployment.obfuscate d ~mode ~period:100.0);
     let campaign =
       Campaign.launch d
         (Campaign.make_config ~omega:8 ~kappa:0.5 ~period:100.0 ~target_mode:mode
@@ -343,7 +343,7 @@ let test_campaign_po_outlives_so () =
 let test_campaign_detection_reduces_effective_kappa () =
   let effective threshold =
     let d = small_deployment ~threshold ~keys:(1 lsl 14) () in
-    ignore (Obfuscation.attach d ~mode:Obfuscation.PO ~period:100.0);
+    ignore (Deployment.obfuscate d ~mode:Obfuscation.PO ~period:100.0);
     let campaign =
       Campaign.launch d
         (Campaign.make_config ~omega:32 ~kappa:1.0 ~period:100.0 ~seed:17 ())
@@ -365,7 +365,7 @@ let test_campaign_deterministic_from_seed () =
   let outcome seed_pair =
     let deployment_seed, campaign_seed = seed_pair in
     let d = small_deployment ~keys:128 ~seed:deployment_seed () in
-    ignore (Obfuscation.attach d ~mode:Obfuscation.PO ~period:100.0);
+    ignore (Deployment.obfuscate d ~mode:Obfuscation.PO ~period:100.0);
     let campaign =
       Campaign.launch d
         (Campaign.make_config ~omega:8 ~kappa:0.5 ~period:100.0 ~seed:campaign_seed ())
@@ -385,7 +385,7 @@ let test_campaign_no_proxies_attacks_servers () =
     Deployment.create
       { Deployment.default_config with np = 0; keyspace = Keyspace.of_size 64; seed = 4 }
   in
-  ignore (Obfuscation.attach d ~mode:Obfuscation.PO ~period:100.0);
+  ignore (Deployment.obfuscate d ~mode:Obfuscation.PO ~period:100.0);
   let campaign =
     Campaign.launch d (Campaign.make_config ~omega:16 ~kappa:0.0 ~period:100.0 ~seed:0 ())
   in
@@ -446,7 +446,7 @@ let test_pacing_zero_threshold () =
 
 let test_campaign_burst_pacing_still_works () =
   let d = small_deployment ~keys:64 ~seed:9 () in
-  ignore (Obfuscation.attach d ~mode:Obfuscation.PO ~period:100.0);
+  ignore (Deployment.obfuscate d ~mode:Obfuscation.PO ~period:100.0);
   let campaign =
     Campaign.launch d
       (Campaign.make_config ~omega:16 ~kappa:0.5 ~period:100.0 ~pacing:Pacing.Burst ~seed:0
@@ -460,7 +460,7 @@ let test_campaign_below_threshold_pacing_never_blocked () =
   (* the sliding window can straddle a step boundary, so the safe pace is
      half the threshold per step *)
   let d = small_deployment ~threshold:25 ~keys:(1 lsl 14) ~seed:21 () in
-  ignore (Obfuscation.attach d ~mode:Obfuscation.PO ~period:100.0);
+  ignore (Deployment.obfuscate d ~mode:Obfuscation.PO ~period:100.0);
   let campaign =
     Campaign.launch d
       (Campaign.make_config ~omega:32 ~kappa:1.0 ~period:100.0
@@ -479,7 +479,7 @@ let s0_protocol_lifetime ?(stagger = true) ~chi ~omega ~seed ~max_steps () =
   let d =
     SD.create { SD.default_config with keyspace = Keyspace.of_size chi; seed }
   in
-  ignore (SD.attach_schedule ~stagger d ~mode:Obfuscation.PO ~period:100.0);
+  ignore (SD.obfuscate ~stagger d ~mode:Obfuscation.PO ~period:100.0);
   let c =
     Smr_campaign.launch d (Smr_campaign.make_config ~omega ~seed:(seed + 77) ())
   in
@@ -496,7 +496,7 @@ let s2_protocol_lifetime ~chi ~omega ~kappa ~seed ~max_steps =
           { Fortress_core.Proxy.default_config with detection_threshold = max_int - 1 };
       }
   in
-  ignore (Obfuscation.attach d ~mode:Obfuscation.PO ~period:100.0);
+  ignore (Deployment.obfuscate d ~mode:Obfuscation.PO ~period:100.0);
   let c =
     Campaign.launch d
       (Campaign.make_config ~omega ~kappa ~period:100.0 ~seed:(seed + 77) ())
@@ -510,7 +510,7 @@ let test_smr_campaign_compromises () =
 let test_smr_campaign_needs_two_intrusions () =
   let module SD = Fortress_core.Smr_deployment in
   let d = SD.create { SD.default_config with keyspace = Keyspace.of_size 64; seed = 2 } in
-  ignore (SD.attach_schedule d ~mode:Obfuscation.PO ~period:100.0);
+  ignore (SD.obfuscate d ~mode:Obfuscation.PO ~period:100.0);
   let c = Smr_campaign.launch d (Smr_campaign.make_config ~omega:16 ~seed:5 ()) in
   (match Smr_campaign.run_until_compromise c ~max_steps:500 with
   | Some _ ->

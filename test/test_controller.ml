@@ -131,9 +131,11 @@ let test_alarm_rekey_staleness_trace () =
   ignore
     (Sink.attach (Engine.sink engine) (fun ~time ev ->
          match ev with Event.Rekey _ -> rekey_times := time :: !rekey_times | _ -> ()));
-  let obfuscation = Obfuscation.attach deployment ~mode:Obfuscation.PO ~period:100.0 in
+  let obfuscation = Deployment.obfuscate deployment ~mode:Obfuscation.PO ~period:100.0 in
   let c =
-    Defense_control.attach deployment ~obfuscation Controller.Strategy.alarm_rekey
+    Defense_control.attach
+      (module Fortress_exp.Stack_driver.Fortress)
+      deployment Controller.Strategy.alarm_rekey
   in
   ignore (Engine.schedule engine ~delay:150.0 (fun () -> Obfuscation.set_stalled obfuscation true));
   Engine.run ~until:599.0 engine;
@@ -154,6 +156,27 @@ let test_alarm_rekey_staleness_trace () =
   Engine.run ~until:1000.0 engine;
   Alcotest.(check (float 1e-9)) "restored after quiet boundaries" 100.0
     (Controller.effective_rekey_period c)
+
+(* ---- the SMR boost bypasses a wedged daemon ---- *)
+
+let test_smr_boost_while_stalled () =
+  let module Smr = Fortress_exp.Stack_driver.Smr in
+  let module Smr_deployment = Fortress_core.Smr_deployment in
+  let d = Smr.make ~chi:64 ~seed:3 in
+  Smr.start_obfuscation d ~period:100.0;
+  let daemon = Option.get (Smr_deployment.obfuscation d) in
+  Obfuscation.set_stalled daemon true;
+  let engine = Smr.engine d in
+  let epochs () = Array.map Instance.epoch (Smr_deployment.instances d) in
+  Engine.run ~until:150.0 engine;
+  let before = epochs () in
+  Smr.rekey_now d;
+  Engine.run ~until:250.0 engine;
+  Alcotest.(check (array int)) "every batch rekeyed within one period"
+    (Array.map succ before) (epochs ());
+  Alcotest.(check int) "no periodic boundary ran" 0 (Obfuscation.steps_completed daemon);
+  Alcotest.(check int) "the stalled boundaries were skipped" 2
+    (Obfuscation.skipped_boundaries daemon)
 
 (* ---- the MDP benchmark ---- *)
 
@@ -202,6 +225,7 @@ let () =
         [
           Alcotest.test_case "hand-verified staleness trace" `Quick
             test_alarm_rekey_staleness_trace;
+          Alcotest.test_case "smr boost runs while stalled" `Quick test_smr_boost_while_stalled;
         ] );
       ( "mdp",
         [

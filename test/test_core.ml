@@ -263,7 +263,7 @@ let test_proxy_legit_traffic_not_flagged () =
 
 let test_obfuscation_po_steps () =
   let d = make () in
-  let sched = Obfuscation.attach d ~mode:Obfuscation.PO ~period:10.0 in
+  let sched = Deployment.obfuscate d ~mode:Obfuscation.PO ~period:10.0 in
   let epoch0 = Instance.epoch (Deployment.server_instances d).(0) in
   Engine.run ~until:55.0 (Deployment.engine d);
   Alcotest.(check int) "5 boundaries" 5 (Obfuscation.steps_completed sched);
@@ -272,13 +272,13 @@ let test_obfuscation_po_steps () =
 let test_obfuscation_so_keeps_keys () =
   let d = make () in
   let key0 = Instance.key (Deployment.server_instances d).(0) in
-  ignore (Obfuscation.attach d ~mode:Obfuscation.SO ~period:10.0);
+  ignore (Deployment.obfuscate d ~mode:Obfuscation.SO ~period:10.0);
   Engine.run ~until:55.0 (Deployment.engine d);
   Alcotest.(check int) "key stable under SO" key0 (Instance.key (Deployment.server_instances d).(0))
 
 let test_obfuscation_detach () =
   let d = make () in
-  let sched = Obfuscation.attach d ~mode:Obfuscation.PO ~period:10.0 in
+  let sched = Deployment.obfuscate d ~mode:Obfuscation.PO ~period:10.0 in
   Engine.run ~until:25.0 (Deployment.engine d);
   Obfuscation.detach sched;
   Engine.run ~until:100.0 (Deployment.engine d);
@@ -286,11 +286,25 @@ let test_obfuscation_detach () =
 
 let test_obfuscation_evicts_intruder () =
   let d = make () in
-  ignore (Obfuscation.attach d ~mode:Obfuscation.PO ~period:10.0);
+  ignore (Deployment.obfuscate d ~mode:Obfuscation.PO ~period:10.0);
   Deployment.compromise_server d 1;
   Alcotest.(check bool) "compromised" true (Deployment.system_compromised d);
   Engine.run ~until:15.0 (Deployment.engine d);
   Alcotest.(check bool) "evicted at the boundary" false (Deployment.system_compromised d)
+
+(* Each deployment keeps one daemon: the one fault plans stall and the
+   defender's knobs turn. *)
+let test_one_daemon_per_deployment () =
+  let d = make () in
+  ignore (Deployment.obfuscate d ~mode:Obfuscation.PO ~period:10.0);
+  Alcotest.check_raises "fortress"
+    (Invalid_argument "Deployment.obfuscate: a daemon is already running") (fun () ->
+      ignore (Deployment.obfuscate d ~mode:Obfuscation.SO ~period:10.0));
+  let s = Smr_deployment.create Smr_deployment.default_config in
+  ignore (Smr_deployment.obfuscate s ~mode:Obfuscation.PO ~period:10.0);
+  Alcotest.check_raises "smr"
+    (Invalid_argument "Smr_deployment.obfuscate: a daemon is already running") (fun () ->
+      ignore (Smr_deployment.obfuscate s ~mode:Obfuscation.PO ~period:10.0))
 
 let test_mode_strings () =
   Alcotest.(check bool) "po" true (Obfuscation.mode_of_string "po" = Some Obfuscation.PO);
@@ -338,7 +352,7 @@ let test_smr_deployment_batches () =
 
 let test_smr_deployment_batched_recovery_keeps_service_up () =
   let d = Smr_deployment.create Smr_deployment.default_config in
-  ignore (Smr_deployment.attach_schedule d ~mode:Obfuscation.PO ~period:200.0);
+  ignore (Smr_deployment.obfuscate d ~mode:Obfuscation.PO ~period:200.0);
   let client = Smr_deployment.new_client d ~name:"c" in
   let served = ref 0 in
   (* traffic across several recovery cycles *)
@@ -362,6 +376,36 @@ let test_smr_deployment_compromise_condition () =
   Alcotest.(check bool) "f intrusions tolerated" false (Smr_deployment.system_compromised d);
   Smr_deployment.compromise d 2;
   Alcotest.(check bool) "f+1 intrusions fatal" true (Smr_deployment.system_compromised d)
+
+(* The SMR client emits the workload plane's event pair itself: submitted
+   once its fan-out has left, completed just before the callback, once
+   per request. *)
+let test_smr_client_request_events () =
+  let d = Smr_deployment.create Smr_deployment.default_config in
+  let log = ref [] in
+  let note x = log := x :: !log in
+  Fortress_net.Network.set_interceptor (Smr_deployment.network d)
+    (Some
+       (fun ~src:_ ~dst:_ _ ->
+         note "send";
+         Fortress_net.Network.Pass));
+  ignore
+    (Fortress_obs.Sink.attach
+       (Engine.sink (Smr_deployment.engine d))
+       (fun ~time:_ -> function
+         | Fortress_obs.Event.Request_submitted _ -> note "submitted"
+         | Fortress_obs.Event.Request_completed _ -> note "completed"
+         | _ -> ()));
+  let client = Smr_deployment.new_client d ~name:"c" in
+  ignore (Smr_deployment.submit client ~cmd:"put k v" ~on_response:(fun _ -> note "response"));
+  Engine.run ~until:100.0 (Smr_deployment.engine d);
+  let log = List.rev !log in
+  Alcotest.(check (list string)) "submitted after the four-replica fan-out"
+    [ "send"; "send"; "send"; "send"; "submitted" ]
+    (List.filteri (fun i _ -> i < 5) log);
+  Alcotest.(check (list string)) "one completion, then the callback"
+    [ "submitted"; "completed"; "response" ]
+    (List.filter (fun x -> x <> "send") log)
 
 let test_smr_deployment_rekey_batch_restores_state () =
   let d = Smr_deployment.create { Smr_deployment.default_config with seed = 3 } in
@@ -458,7 +502,7 @@ let test_smr_fortress_masks_one_intrusion () =
      masked by the proxies' f+1 vote, so the client still gets the honest
      answer *)
   let f = Smr_fortress.create Smr_fortress.default_config in
-  Smr_fortress.compromise_server f 1;
+  Smr_deployment.compromise (Smr_fortress.tier f) 1;
   Alcotest.(check bool) "one intrusion tolerated" false (Smr_fortress.system_compromised f);
   let client = Smr_fortress.new_client f ~name:"c" in
   let response = ref "" in
@@ -466,10 +510,22 @@ let test_smr_fortress_masks_one_intrusion () =
   Engine.run ~until:100.0 (Smr_fortress.engine f);
   Alcotest.(check string) "honest answer despite the intruder" "ok" !response
 
+(* X1 inherits the tier's crash faults: with f = 1 a crashed replica is
+   tolerated, and the proxies still vote f + 1 matching replies through *)
+let test_smr_fortress_crashed_replica () =
+  let f = Smr_fortress.create Smr_fortress.default_config in
+  Smr_deployment.crash_replica (Smr_fortress.tier f) 2;
+  let client = Smr_fortress.new_client f ~name:"c" in
+  let response = ref "" in
+  ignore (Smr_fortress.submit client ~cmd:"put k v" ~on_response:(fun r -> response := r));
+  Engine.run ~until:100.0 (Smr_fortress.engine f);
+  Alcotest.(check string) "served with a replica down" "ok" !response;
+  Alcotest.(check int) "accepted once" 1 (Smr_fortress.client_accepted client)
+
 let test_smr_fortress_two_intrusions_fatal () =
   let f = Smr_fortress.create Smr_fortress.default_config in
-  Smr_fortress.compromise_server f 0;
-  Smr_fortress.compromise_server f 1;
+  Smr_deployment.compromise (Smr_fortress.tier f) 0;
+  Smr_deployment.compromise (Smr_fortress.tier f) 1;
   Alcotest.(check bool) "f+1 intrusions compromise S0-style" true
     (Smr_fortress.system_compromised f)
 
@@ -495,17 +551,40 @@ let test_smr_fortress_proxy_detection () =
   Engine.run ~until:100.0 engine;
   Alcotest.(check bool) "probes logged" true (Smr_fortress.proxy_invalid_observed f 0 >= 5)
 
+(* np + n keys in use: a proxy never shares a replica's key, at start-up
+   or after a proxy rekey, even in a key space small enough to clash *)
 let test_smr_fortress_diverse_server_keys () =
-  let f = Smr_fortress.create Smr_fortress.default_config in
-  let keys =
-    Array.to_list (Array.map Instance.key (Smr_fortress.server_instances f))
-    @ Array.to_list (Array.map Instance.key (Smr_fortress.proxy_instances f))
+  let distinct f =
+    let keys =
+      Array.to_list (Array.map Instance.key (Smr_deployment.instances (Smr_fortress.tier f)))
+      @ Array.to_list (Array.map Instance.key (Smr_fortress.proxy_instances f))
+    in
+    List.length (List.sort_uniq compare keys)
   in
-  Alcotest.(check int) "all seven keys distinct" 7 (List.length (List.sort_uniq compare keys))
+  for seed = 0 to 99 do
+    let f =
+      Smr_fortress.create
+        {
+          Smr_fortress.default_config with
+          tier = { Smr_deployment.default_config with keyspace = Keyspace.of_size 64; seed };
+        }
+    in
+    Alcotest.(check int) (Printf.sprintf "seed %d: all seven keys distinct" seed) 7 (distinct f);
+    Smr_fortress.rekey_proxies f;
+    Alcotest.(check int)
+      (Printf.sprintf "seed %d: still seven after a proxy rekey" seed)
+      7 (distinct f)
+  done
 
 let test_smr_fortress_batched_obfuscation () =
-  let f = Smr_fortress.create { Smr_fortress.default_config with seed = 11 } in
-  Smr_fortress.attach_schedule f ~mode:Obfuscation.PO ~period:200.0;
+  let f =
+    Smr_fortress.create
+      {
+        Smr_fortress.default_config with
+        tier = { Smr_deployment.default_config with seed = 11 };
+      }
+  in
+  Smr_fortress.obfuscate f ~mode:Obfuscation.PO ~period:200.0;
   let client = Smr_fortress.new_client f ~name:"c" in
   let served = ref 0 in
   for i = 0 to 5 do
@@ -565,6 +644,7 @@ let () =
           Alcotest.test_case "so keeps keys" `Quick test_obfuscation_so_keeps_keys;
           Alcotest.test_case "detach" `Quick test_obfuscation_detach;
           Alcotest.test_case "evicts intruder" `Quick test_obfuscation_evicts_intruder;
+          Alcotest.test_case "one daemon per deployment" `Quick test_one_daemon_per_deployment;
           Alcotest.test_case "mode strings" `Quick test_mode_strings;
         ] );
       ( "s1-mode",
@@ -583,6 +663,8 @@ let () =
         [
           Alcotest.test_case "end to end" `Quick test_smr_fortress_end_to_end;
           Alcotest.test_case "masks one intrusion" `Quick test_smr_fortress_masks_one_intrusion;
+          Alcotest.test_case "tolerates a crashed replica" `Quick
+            test_smr_fortress_crashed_replica;
           Alcotest.test_case "two intrusions fatal" `Quick test_smr_fortress_two_intrusions_fatal;
           Alcotest.test_case "proxy detection" `Quick test_smr_fortress_proxy_detection;
           Alcotest.test_case "diverse keys" `Quick test_smr_fortress_diverse_server_keys;
@@ -596,6 +678,8 @@ let () =
           Alcotest.test_case "batched recovery availability" `Slow
             test_smr_deployment_batched_recovery_keeps_service_up;
           Alcotest.test_case "compromise condition" `Quick test_smr_deployment_compromise_condition;
+          Alcotest.test_case "client request events in order" `Quick
+            test_smr_client_request_events;
           Alcotest.test_case "rekey batch restores state" `Quick
             test_smr_deployment_rekey_batch_restores_state;
         ] );

@@ -166,7 +166,7 @@ let test_rekey_skips_down_server () =
 
 let test_stall_skips_boundaries () =
   let d = small_deployment 3 in
-  let o = Obfuscation.attach d ~mode:Obfuscation.PO ~period:10.0 in
+  let o = Deployment.obfuscate d ~mode:Obfuscation.PO ~period:10.0 in
   Obfuscation.set_stalled o true;
   Engine.run ~until:35.0 (Deployment.engine d);
   Alcotest.(check int) "no boundary completed" 0 (Obfuscation.steps_completed o);
@@ -260,6 +260,50 @@ let test_smr_absent_target_rejected () =
   | _ -> Alcotest.fail "accepted a target that folds onto no replica"
   | exception Invalid_argument _ -> ());
   Alcotest.(check int) "no event emitted" before (Fortress_obs.Sink.emitted sink)
+
+(* ---- stall actions reach the deployment's own daemon ---- *)
+
+(* Wedged from 150 to 450 at period 100: the boundaries at 200, 300 and
+   400 are skipped, those at 100, 500 and 600 run. *)
+let stall_window =
+  timeline "stall-window"
+    [ Plan.once ~at:150.0 Plan.Stall_obfuscation; Plan.once ~at:450.0 Plan.Resume_obfuscation ]
+
+let run_stall_window engine wiring =
+  let faults = record_faults engine in
+  let h = Wiring.install stall_window wiring ~seed:3 in
+  Engine.run ~until:650.0 engine;
+  Wiring.uninstall h;
+  faults ()
+
+let check_wedged name daemon =
+  Alcotest.(check int) (name ^ ": boundaries run") 3 (Obfuscation.steps_completed daemon);
+  Alcotest.(check int) (name ^ ": boundaries skipped") 3 (Obfuscation.skipped_boundaries daemon)
+
+let test_stall_reaches_fortress_daemon () =
+  let d = small_deployment 3 in
+  let daemon = Deployment.obfuscate d ~mode:Obfuscation.PO ~period:100.0 in
+  ignore (run_stall_window (Deployment.engine d) (Wiring.fortress d));
+  check_wedged "fortress" daemon
+
+let test_stall_reaches_smr_daemon () =
+  let d = small_smr 3 in
+  let daemon = Smr_deployment.obfuscate d ~mode:Obfuscation.PO ~period:100.0 in
+  ignore (run_stall_window (Smr_deployment.engine d) (Wiring.smr d));
+  check_wedged "smr" daemon
+
+let test_stall_without_daemon () =
+  let check name faults =
+    Alcotest.(check bool) (name ^ ": stall event") true (List.mem ("stall", "obfuscation") faults);
+    Alcotest.(check bool) (name ^ ": resume event") true
+      (List.mem ("resume", "obfuscation") faults);
+    Alcotest.(check bool) (name ^ ": no boundary skipped") false
+      (List.mem ("stall_skip", "obfuscation") faults)
+  in
+  let d = small_deployment 3 in
+  check "fortress" (run_stall_window (Deployment.engine d) (Wiring.fortress d));
+  let s = small_smr 3 in
+  check "smr" (run_stall_window (Smr_deployment.engine s) (Wiring.smr s))
 
 (* ---- end-to-end: determinism and the escalation ladder ---- *)
 
@@ -382,6 +426,12 @@ let () =
           Alcotest.test_case "S0 nameserver crash skipped" `Quick test_smr_nameserver_skipped;
           Alcotest.test_case "S0 absent target rejected" `Quick
             test_smr_absent_target_rejected;
+          Alcotest.test_case "stall reaches the deployment's daemon" `Quick
+            test_stall_reaches_fortress_daemon;
+          Alcotest.test_case "S0 stall reaches the deployment's daemon" `Quick
+            test_stall_reaches_smr_daemon;
+          Alcotest.test_case "stall without a daemon wedges nothing" `Quick
+            test_stall_without_daemon;
         ] );
       ( "inject",
         [

@@ -68,15 +68,14 @@ let test_arrival_means () =
 (* ---- attach on a live stack ---- *)
 
 let fortress_stack ~seed =
-  Fortress_core.Fortress_stack.of_parts
-    (Fortress_core.Deployment.create { Fortress_core.Deployment.default_config with seed })
+  Fortress_core.Deployment.create { Fortress_core.Deployment.default_config with seed }
 
 let run_spec ?(seed = 5) ?(horizon = 600.0) spec =
   let stack = fortress_stack ~seed in
-  let engine = Fortress_core.Fortress_stack.engine stack in
+  let engine = Fortress_core.Deployment.engine stack in
   let h =
     Workload.attach
-      (module Fortress_core.Fortress_stack)
+      (module Fortress_exp.Stack_driver.Fortress)
       stack ~seed
       (Result.get_ok (Workload.spec_of_string spec))
   in
@@ -107,12 +106,12 @@ let test_batching_preserves_physical_stream () =
      batch-1 run, while the logical counters scale by the batch factor *)
   let run batch =
     let stack = fortress_stack ~seed:11 in
-    let engine = Fortress_core.Fortress_stack.engine stack in
+    let engine = Fortress_core.Deployment.engine stack in
     let digest, finalize = Fortress_obs.Sink.digesting () in
     ignore (Fortress_obs.Sink.attach (Engine.sink engine) digest);
     let h =
       Workload.attach
-        (module Fortress_core.Fortress_stack)
+        (module Fortress_exp.Stack_driver.Fortress)
         stack ~seed:11
         (Result.get_ok (Workload.spec_of_string ("poisson:rate=0.3,batch=" ^ string_of_int batch)))
     in

@@ -309,7 +309,7 @@ let test_trace_tail_pinned_on_deployment () =
   in
   let tail, render = Sink.tail ~lines:4 in
   ignore (Sink.attach (Engine.sink (Deployment.engine d)) tail);
-  ignore (Fortress_core.Obfuscation.attach d ~mode:Fortress_core.Obfuscation.PO ~period:100.0);
+  ignore (Fortress_core.Deployment.obfuscate d ~mode:Fortress_core.Obfuscation.PO ~period:100.0);
   let c =
     Campaign.launch d (Campaign.make_config ~omega:8 ~kappa:0.5 ~period:100.0 ~seed:8 ())
   in
