@@ -1,175 +1,19 @@
-(* Benchmark harness: one Bechamel test per reproduced artefact (figures,
-   ordering, ablations, validation) plus substrate micro-benchmarks, then
-   the regenerated tables themselves — the rows/series the paper reports.
+(* The reproduction's benchmark: regenerates every table the paper's
+   argument rests on (Figures 1-2, the section-6 ordering, the ablations,
+   V1/V2) with each section timed on the wall clock, then measures the
+   cost of every plane built around them -- event throughput, interceptor
+   and profiler overhead, pooled speedup, the same-process overhead ratios
+   and workload throughput -- and writes BENCH_fortress.json, which
+   .github/scripts/bench_compare.py gates against bench/baseline.json.
 
-   Run with: dune exec bench/main.exe *)
+   Run with: dune exec bench/main.exe [-- --speedup-only] *)
 
-open Bechamel
 module Systems = Fortress_model.Systems
 module Step_level = Fortress_mc.Step_level
-module Probe_level = Fortress_mc.Probe_level
 module Figures = Fortress_exp.Figures
 module Ablations = Fortress_exp.Ablations
 module Validation = Fortress_exp.Validation
-module Sha256 = Fortress_crypto.Sha256
 module Exec = Fortress_par.Exec
-
-(* ---- one Test.make per experiment artefact ---- *)
-
-let test_figure1 =
-  Test.make ~name:"figure1-analytic-rows"
-    (Staged.stage (fun () -> ignore (Figures.figure1_rows ~points:7 ())))
-
-let test_figure2 =
-  Test.make ~name:"figure2-analytic-rows"
-    (Staged.stage (fun () -> ignore (Figures.figure2_rows ~points:7 ())))
-
-let test_ordering =
-  Test.make ~name:"ordering-chain-check"
-    (Staged.stage (fun () -> ignore (Figures.ordering ~points:5 ())))
-
-let test_ablation_np =
-  Test.make ~name:"ablation-np"
-    (Staged.stage (fun () -> ignore (Ablations.proxy_count_table ~points:5 ())))
-
-let test_ablation_chi =
-  Test.make ~name:"ablation-chi"
-    (Staged.stage (fun () ->
-         ignore (Ablations.entropy_table ~chis:[ 256; 512 ] ~omega:8 ~trials:20 ())))
-
-let test_ablation_launchpad =
-  Test.make ~name:"ablation-launchpad"
-    (Staged.stage (fun () -> ignore (Ablations.launchpad_table ())))
-
-let test_ablation_kappa =
-  Test.make ~name:"ablation-kappa-campaign"
-    (Staged.stage (fun () -> ignore (Ablations.detection_table ~thresholds:[ 5 ] ~steps:5 ())))
-
-let test_ablation_diversity =
-  Test.make ~name:"ablation-diversity"
-    (Staged.stage (fun () ->
-         ignore
-           (Ablations.limited_diversity_table ~candidate_counts:[ 1; 4 ] ~trials:100 ())))
-
-let test_ablation_overhead =
-  Test.make ~name:"ablation-overhead"
-    (Staged.stage (fun () -> ignore (Ablations.overhead_table ~requests:20 ())))
-
-let test_ablation_budget =
-  Test.make ~name:"ablation-budget-split"
-    (Staged.stage (fun () -> ignore (Ablations.budget_split_table ~kappas:[ 0.5 ] ())))
-
-let test_degradation =
-  Test.make ~name:"degradation-under-attack"
-    (Staged.stage (fun () ->
-         ignore (Fortress_exp.Degradation.run ~omegas:[ 0; 32 ] ~requests:30 ~horizon:10 ())))
-
-let test_podc =
-  Test.make ~name:"podc-claim-check"
-    (Staged.stage (fun () -> ignore (Figures.podc_claim_holds ~points:5 ())))
-
-let test_distributions =
-  Test.make ~name:"distribution-shapes"
-    (Staged.stage (fun () ->
-         ignore
-           (Fortress_exp.Distributions.profile ~trials:200 Systems.S1_PO ~alpha:0.01
-              ~kappa:0.5)))
-
-let test_validation =
-  Test.make ~name:"validation-three-tier"
-    (Staged.stage (fun () ->
-         ignore
-           (Validation.run ~chi:512 ~omega:8 ~trials:30
-              ~systems:[ Systems.S1_PO; Systems.S2_PO ] ())))
-
-let test_protocol_validation =
-  Test.make ~name:"validation-packet-level-campaign"
-    (Staged.stage (fun () -> ignore (Validation.protocol ~trials:10 ())))
-
-(* ---- substrate micro-benchmarks ---- *)
-
-let test_step_mc =
-  Test.make ~name:"mc-step-s2po-1000-trials"
-    (Staged.stage (fun () ->
-         ignore
-           (Step_level.estimate ~trials:1000 Systems.S2_PO
-              { Step_level.default with alpha = 3e-3 })))
-
-let test_probe_mc =
-  Test.make ~name:"mc-probe-s2po-50-trials"
-    (Staged.stage (fun () ->
-         ignore
-           (Probe_level.estimate ~trials:50 Systems.S2_PO
-              { Probe_level.default with chi = 1024; omega = 8 })))
-
-let test_markov =
-  Test.make ~name:"model-s0so-inhomogeneous-chain"
-    (Staged.stage (fun () -> ignore (Systems.s0_so ~alpha:1e-3)))
-
-let test_sha256 =
-  let payload = String.make 4096 'x' in
-  Test.make ~name:"crypto-sha256-4KiB" (Staged.stage (fun () -> ignore (Sha256.digest payload)))
-
-let test_pb_deployment =
-  Test.make ~name:"protocol-fortress-request-roundtrip"
-    (Staged.stage (fun () ->
-         let module Deployment = Fortress_core.Deployment in
-         let module Client = Fortress_core.Client in
-         let module Engine = Fortress_sim.Engine in
-         let deployment = Deployment.create Deployment.default_config in
-         let client = Deployment.new_client deployment ~name:"bench-client" in
-         let served = ref 0 in
-         for i = 1 to 10 do
-           ignore
-             (Client.submit client
-                ~cmd:(Printf.sprintf "put k%d v" i)
-                ~on_response:(fun _ -> incr served))
-         done;
-         Engine.run ~until:100.0 (Deployment.engine deployment);
-         assert (!served = 10)))
-
-let benchmark () =
-  let tests =
-    Test.make_grouped ~name:"fortress"
-      [
-        test_figure1;
-        test_figure2;
-        test_ordering;
-        test_ablation_np;
-        test_ablation_chi;
-        test_ablation_launchpad;
-        test_ablation_kappa;
-        test_ablation_diversity;
-        test_ablation_overhead;
-        test_ablation_budget;
-        test_degradation;
-        test_podc;
-        test_distributions;
-        test_validation;
-        test_protocol_validation;
-        test_step_mc;
-        test_probe_mc;
-        test_markov;
-        test_sha256;
-        test_pb_deployment;
-      ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~kde:None () in
-  let raw = Benchmark.all cfg instances tests in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  |> List.iter (fun (name, ols) ->
-         let ns =
-           match Analyze.OLS.estimates ols with
-           | Some (e :: _) -> Printf.sprintf "%13.1f ns/run" e
-           | Some [] | None -> "            n/a"
-         in
-         Printf.printf "  %-45s %s\n" name ns)
 
 (* ---- wall-clock section timings and the machine-readable report ---- *)
 
@@ -183,30 +27,72 @@ let section name f =
   sections := (name, dt) :: !sections;
   print_endline ""
 
+(* The one timing discipline of every single-threaded best-of-N section:
+   run the [shapes] [passes] times, in list order on odd passes and in
+   reverse on even ones, collect garbage before each timed region so no
+   shape pays another's heap down, and keep each shape's minimum. Noise is
+   strictly additive -- an interrupted run reads slower, never faster --
+   so the min converges on a shape's true cost, where a one-shot time or a
+   median of per-pass ratios still gates on jitter. The reversal cancels
+   linear drift (throttled machines slow down under sustained load) out of
+   every min, where a fixed order would tax the shape that always runs
+   last. [check] gets each pass's results in shape order and raises if
+   they diverge. The default clock is process CPU time: the sections are
+   single-threaded, so it measures the same work while staying immune to
+   preemption by other tenants, the dominant noise on shared runners.
+   Returns each shape's min seconds and the last pass's results. *)
+let best_of ?(clock = Sys.time) ~passes ~check shapes =
+  let shapes = Array.of_list shapes in
+  let n = Array.length shapes in
+  let best = Array.make n infinity and last = ref [] in
+  for pass = 1 to passes do
+    let results = Array.make n None in
+    for k = 0 to n - 1 do
+      let i = if pass land 1 = 1 then k else n - 1 - k in
+      Gc.full_major ();
+      let t0 = clock () in
+      let r = shapes.(i) () in
+      best.(i) <- Float.min best.(i) (clock () -. t0);
+      results.(i) <- Some r
+    done;
+    let results = List.map Option.get (Array.to_list results) in
+    check results;
+    (* keep no earlier pass's results alive during the next one *)
+    if pass = passes then last := results
+  done;
+  (Array.to_list best, !last)
+
+let ratio num den = if den > 0.0 then num /. den else 0.0
+
+(* A [check] half for results that must not change from pass to pass:
+   the returned function fails on any value unequal to its first. *)
+let same_across_passes what =
+  let first = ref None in
+  fun v ->
+    match !first with
+    | None -> first := Some v
+    | Some v0 ->
+        if v <> v0 then
+          failwith (Printf.sprintf "%s not byte-identical across passes: %s <> %s" what v v0)
+
 (* Event throughput of the instrumented stack: one packet-level campaign
    with a counting subscriber attached. A single campaign is only a few
    tens of milliseconds, so the reported figure is the best of five
-   passes measured in process CPU time — scheduler noise is additive and
-   preemption by other tenants is invisible to CPU time, so the gate in
-   bench_compare.py sees the stack's actual throughput, not the slowest
-   interruption. *)
+   passes: the gate in bench_compare.py sees the stack's actual
+   throughput, not the slowest interruption. *)
 let measure_event_throughput () =
   let module Sink = Fortress_obs.Sink in
-  let best_events = ref 0 and best_dt = ref infinity in
-  for _ = 1 to 5 do
+  let campaign () =
     let events = ref 0 in
     let sink = Sink.create () in
     ignore (Sink.attach sink (fun ~time:_ _ -> incr events));
-    Gc.full_major ();
-    let t0 = Sys.time () in
     ignore (Validation.campaign_lifetime ~sink ~chi:256 ~omega:8 ~kappa:0.5 ~seed:11 ());
-    let dt = Sys.time () -. t0 in
-    if dt < !best_dt then begin
-      best_dt := dt;
-      best_events := !events
-    end
-  done;
-  (!best_events, !best_dt)
+    !events
+  in
+  let same = same_across_passes "event count" in
+  match best_of ~passes:5 ~check:(List.iter (fun n -> same (string_of_int n))) [ campaign ] with
+  | [ seconds ], [ events ] -> (events, seconds)
+  | _ -> assert false
 
 (* Interceptor overhead on the hot [Network.send] path: per-message cost of
    the fault layer in its three configurations — absent (no plan installed),
@@ -347,52 +233,14 @@ let measure_parallel_speedup () =
       (jobs, tps, speedup, mean))
     rows
 
-(* Shared discipline for the gated same-process overhead ratios: run the
-   base and variant shapes interleaved [passes] times, assert the digests
-   pairwise equal every pass, and gate on min(variant)/min(base).
-   Scheduler noise is strictly additive — an interrupted pass reads
-   slower, never faster — so the min across interleaved passes converges
-   on the true cost of each shape, where both a one-shot ratio and the
-   median of per-pass ratios still gate on jitter when a single pass is
-   only a second or two. The order within a pass ALTERNATES (ABBA):
-   sustained load makes throttled machines drift monotonically slower, so
-   a fixed order would systematically tax whichever shape always runs
-   second — alternation cancels linear drift out of both mins. The timed
-   quantity is PROCESS CPU time, not wall clock: these sections are
-   single-threaded, so CPU time measures the same work while being
-   immune to preemption by other tenants of the machine — the dominant
-   noise source on shared runners. *)
+(* The gated same-process overhead ratios: base and variant shapes on
+   [best_of], their digests asserted equal every pass so the ratio
+   min(variant)/min(base) compares identical work. *)
 let paired_overhead ~passes ~mismatch base variant =
-  let time f =
-    (* collect before each timed region so neither shape pays the other's
-       heap down during its own window *)
-    Gc.full_major ();
-    let t0 = Sys.time () in
-    let r = f () in
-    (r, Sys.time () -. t0)
-  in
-  let base_seconds = ref infinity and variant_seconds = ref infinity in
-  for pass = 1 to passes do
-    let b_digest, b_dt, v_digest, v_dt =
-      if pass land 1 = 1 then begin
-        let b_digest, b_dt = time base in
-        let v_digest, v_dt = time variant in
-        (b_digest, b_dt, v_digest, v_dt)
-      end
-      else begin
-        let v_digest, v_dt = time variant in
-        let b_digest, b_dt = time base in
-        (b_digest, b_dt, v_digest, v_dt)
-      end
-    in
-    if b_digest <> v_digest then failwith (mismatch v_digest b_digest);
-    base_seconds := Float.min !base_seconds b_dt;
-    variant_seconds := Float.min !variant_seconds v_dt
-  done;
-  let ratio =
-    if !base_seconds > 0.0 then !variant_seconds /. !base_seconds else 0.0
-  in
-  (!base_seconds, !variant_seconds, ratio)
+  let check = function [ b; v ] -> if b <> v then failwith (mismatch v b) | _ -> assert false in
+  match best_of ~passes ~check [ base; variant ] with
+  | [ base_s; variant_s ], _ -> (base_s, variant_s, ratio variant_s base_s)
+  | _ -> assert false
 
 (* Telemetry-plane overhead: the same seeded packet-level campaign twice,
    once with only a digesting subscriber and once with a Timeline plus
@@ -481,21 +329,14 @@ let measure_defender_overhead () =
       (Inject.run_plan ~defender:Controller.Strategy.static config Plan.lossy).Inject.digest)
 
 (* Causal-tracing overhead: the same seeded chaos campaign three times
-   per pass — tracing off, tracing on (span plumbing + latency extraction
-   live), then off again. The GATED ratio is off2/off1: once the causal
-   machinery has run, the disabled path must cost what it did before (the
-   per-send [Engine.causal] check is one option read; no state lingers).
-   Each pass times its three shapes back-to-back so ambient load drift
-   hits them equally, and the gated ratio is min(off2)/min(off1) across
-   the passes — a single off pass is well under a second, and scheduler
-   noise is strictly additive, so the mins converge on true cost where
-   any per-pass ratio gates on jitter (the same discipline as
-   [paired_overhead], including the alternation: which of a pass's two
-   off samples feeds the off1 vs off2 accumulator flips every pass, so
-   monotone throttling drift cancels instead of always taxing the sample
-   timed last). The traced ratio is reported for information — spans
-   add real event volume, so a tight bound there would gate the feature's
-   value, not a regression. The off-pass digests are asserted identical
+   per pass on [best_of] — tracing off, tracing on (span plumbing +
+   latency extraction live), then off again, reversed on even passes. The
+   GATED ratio is min(off2)/min(off1): once the causal machinery has run,
+   the disabled path must cost what it did before (the per-send
+   [Engine.causal] check is one option read; no state lingers). The
+   traced ratio is reported for information — spans add real event
+   volume, so a tight bound there would gate the feature's value, not a
+   regression. The off-pass digests are asserted identical across passes
    (byte-identity of the disabled path) and the traced run's EL is
    asserted equal to the plain one (tracing is a pure observer of the
    simulated world). *)
@@ -504,58 +345,34 @@ let measure_causal_overhead () =
   let module Plan = Fortress_faults.Plan in
   let config = { Inject.default_config with trials = 8; chi = 256; seed = 42 } in
   let traced_config = { config with causal = true } in
-  (* process CPU time for the same reason as [paired_overhead]: immune to
-     preemption, and the section is single-threaded *)
-  let time f =
-    Gc.full_major ();
-    let t0 = Sys.time () in
-    let r = f () in
-    (r, Sys.time () -. t0)
-  in
   ignore (Inject.run_plan { config with trials = 2 } Plan.chaos);
   ignore (Inject.run_plan { traced_config with trials = 2 } Plan.chaos);
-  let passes = 7 in
-  let off_digest = ref "" in
-  let off1_seconds = ref infinity
-  and off2_seconds = ref infinity
-  and traced_seconds = ref infinity in
-  for pass = 1 to passes do
-    let off_a, off_a_dt = time (fun () -> Inject.run_plan config Plan.chaos) in
-    let traced, traced_dt = time (fun () -> Inject.run_plan traced_config Plan.chaos) in
-    let off_b, off_b_dt = time (fun () -> Inject.run_plan config Plan.chaos) in
-    let (off1, off1_dt), (off2, off2_dt) =
-      if pass land 1 = 1 then ((off_a, off_a_dt), (off_b, off_b_dt))
-      else ((off_b, off_b_dt), (off_a, off_a_dt))
-    in
-    List.iter
-      (fun (r : Inject.run) ->
-        if !off_digest = "" then off_digest := r.Inject.digest
-        else if r.Inject.digest <> !off_digest then
+  let off () = Inject.run_plan config Plan.chaos in
+  let same = same_across_passes "causal-off path" in
+  let check = function
+    | [ (off1 : Inject.run); traced; off2 ] ->
+        List.iter (fun (r : Inject.run) -> same r.Inject.digest) [ off1; off2 ];
+        let el_off = Inject.mean_el config off1 in
+        let el_on = Inject.mean_el traced_config traced in
+        if el_off <> el_on then
           failwith
-            (Printf.sprintf "causal-off path not byte-identical across passes: %s <> %s"
-               r.Inject.digest !off_digest))
-      [ off1; off2 ];
-    let el_off = Inject.mean_el config off1 in
-    let el_on = Inject.mean_el traced_config traced in
-    if el_off <> el_on then
-      failwith
-        (Printf.sprintf "causal tracing perturbed the simulation: EL %.17g <> %.17g" el_on
-           el_off);
-    off1_seconds := Float.min !off1_seconds off1_dt;
-    off2_seconds := Float.min !off2_seconds off2_dt;
-    traced_seconds := Float.min !traced_seconds traced_dt
-  done;
-  let ratio = if !off1_seconds > 0.0 then !off2_seconds /. !off1_seconds else 0.0 in
-  let traced_ratio =
-    if !off1_seconds > 0.0 then !traced_seconds /. !off1_seconds else 0.0
+            (Printf.sprintf "causal tracing perturbed the simulation: EL %.17g <> %.17g" el_on
+               el_off)
+    | _ -> assert false
   in
-  (!off1_seconds, !traced_seconds, ratio, traced_ratio)
+  match
+    best_of ~passes:7 ~check [ off; (fun () -> Inject.run_plan traced_config Plan.chaos); off ]
+  with
+  | [ off1_s; traced_s; off2_s ], _ ->
+      (off1_s, traced_s, ratio off2_s off1_s, ratio traced_s off1_s)
+  | _ -> assert false
 
 (* Workload-plane throughput: a fixed closed-loop population driven
    through [Inject.run_plan] on the fortress stack. The logical request
    counts and virtual-time quantiles are deterministic (pinned exactly by
-   bench_compare.py); only requests-per-second is a wall measurement, so
-   it alone carries a tolerance. *)
+   bench_compare.py); only requests-per-second is a measurement, so it
+   alone carries a tolerance. It is taken on the wall clock, like the
+   report field and the baseline it is compared with. *)
 let measure_workload_throughput () =
   let module Inject = Fortress_exp.Inject in
   let module Workload = Fortress_load.Workload in
@@ -568,32 +385,22 @@ let measure_workload_throughput () =
   let config = { Inject.default_config with trials = 6; load = Some spec } in
   let run () = Inject.run_plan config Plan.lossy in
   ignore (run ());
-  let passes = 3 in
-  let best = ref infinity in
-  let result = ref None in
-  for _ = 1 to passes do
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    let r = run () in
-    let dt = Unix.gettimeofday () -. t0 in
-    (match !result with
-    | Some (prev : Inject.run) ->
-        if prev.Inject.digest <> r.Inject.digest then
-          failwith
-            (Printf.sprintf "workload passes not byte-identical: %s <> %s" r.Inject.digest
-               prev.Inject.digest)
-    | None -> ());
-    if dt < !best then best := dt;
-    result := Some r
-  done;
-  let r = Option.get !result in
-  let stats = Option.get r.Inject.load in
-  let requests_per_sec =
-    if !best > 0.0 then float_of_int stats.Workload.issued /. !best else 0.0
-  in
-  let quantile q = Option.value ~default:0.0 (Workload.quantile stats q) in
-  (requests_per_sec, stats.Workload.issued, stats.Workload.answered, quantile 0.5,
-   quantile 0.99, Option.value ~default:0.0 r.Inject.availability)
+  let same = same_across_passes "workload pass digest" in
+  match
+    best_of ~clock:Unix.gettimeofday ~passes:3
+      ~check:(List.iter (fun (r : Inject.run) -> same r.Inject.digest))
+      [ run ]
+  with
+  | [ best ], [ r ] ->
+      let stats = Option.get r.Inject.load in
+      let quantile q = Option.value ~default:0.0 (Workload.quantile stats q) in
+      ( ratio (float_of_int stats.Workload.issued) best,
+        stats.Workload.issued,
+        stats.Workload.answered,
+        quantile 0.5,
+        quantile 0.99,
+        Option.value ~default:0.0 r.Inject.availability )
+  | _ -> assert false
 
 (* The two long Monte-Carlo tables (A2, V1) run through the domain pool at
    [default_jobs]; their renders are asserted against FNV digests of the
@@ -638,6 +445,26 @@ let print_speedup_rows speedup =
     speedup;
   Printf.printf "means bit-identical across job counts: yes (asserted)\n\n"
 
+(* interceptor or profiler rows: per-op nanoseconds and minor words *)
+let per_op_json op rows =
+  let module J = Fortress_obs.Json in
+  J.List
+    (List.map
+       (fun (name, ns, words) ->
+         J.Obj
+           [
+             ("config", J.Str name);
+             ("ns_per_" ^ op, J.Num ns);
+             ("minor_words_per_" ^ op, J.Num words);
+           ])
+       rows)
+
+(* a [paired_overhead] result under its section's base and variant keys,
+   the ones bench_compare.py's ratio-gate table names *)
+let paired_json base_key variant_key (base_s, variant_s, r) =
+  let module J = Fortress_obs.Json in
+  J.Obj [ (base_key, J.Num base_s); (variant_key, J.Num variant_s); ("ratio", J.Num r) ]
+
 let write_bench_json ~path ~wall_seconds ~events ~event_seconds ~interceptor ~profiler
     ~speedup ~adaptive ~defender ~timeline ~causal ~workload =
   let module J = Fortress_obs.Json in
@@ -654,55 +481,13 @@ let write_bench_json ~path ~wall_seconds ~events ~event_seconds ~interceptor ~pr
         ("domains_available", J.Num (float_of_int (Domain.recommended_domain_count ())));
         ("events_emitted", J.Num (float_of_int events));
         ("event_seconds", J.Num event_seconds);
-        ( "events_per_sec",
-          J.Num (if event_seconds > 0.0 then float_of_int events /. event_seconds else 0.0) );
-        ( "interceptor_overhead",
-          J.List
-            (List.map
-               (fun (name, ns, words) ->
-                 J.Obj
-                   [
-                     ("config", J.Str name);
-                     ("ns_per_message", J.Num ns);
-                     ("minor_words_per_message", J.Num words);
-                   ])
-               interceptor) );
-        ( "profiler_overhead",
-          J.List
-            (List.map
-               (fun (name, ns, words) ->
-                 J.Obj
-                   [
-                     ("config", J.Str name);
-                     ("ns_per_call", J.Num ns);
-                     ("minor_words_per_call", J.Num words);
-                   ])
-               profiler) );
+        ("events_per_sec", J.Num (ratio (float_of_int events) event_seconds));
+        ("interceptor_overhead", per_op_json "message" interceptor);
+        ("profiler_overhead", per_op_json "call" profiler);
         ("parallel_speedup", speedup_rows_json speedup);
-        ( "adaptive_overhead",
-          (let fixed_s, obl_s, ratio = adaptive in
-           J.Obj
-             [
-               ("fixed_seconds", J.Num fixed_s);
-               ("oblivious_seconds", J.Num obl_s);
-               ("ratio", J.Num ratio);
-             ]) );
-        ( "defender_overhead",
-          (let plain_s, static_s, ratio = defender in
-           J.Obj
-             [
-               ("plain_seconds", J.Num plain_s);
-               ("static_seconds", J.Num static_s);
-               ("ratio", J.Num ratio);
-             ]) );
-        ( "timeline_overhead",
-          (let base_s, sub_s, ratio = timeline in
-           J.Obj
-             [
-               ("baseline_seconds", J.Num base_s);
-               ("subscriber_seconds", J.Num sub_s);
-               ("ratio", J.Num ratio);
-             ]) );
+        ("adaptive_overhead", paired_json "fixed_seconds" "oblivious_seconds" adaptive);
+        ("defender_overhead", paired_json "plain_seconds" "static_seconds" defender);
+        ("timeline_overhead", paired_json "baseline_seconds" "subscriber_seconds" timeline);
         ( "causal_overhead",
           (let plain_s, traced_s, ratio, traced_ratio = causal in
            J.Obj
@@ -750,7 +535,6 @@ let speedup_only () =
 
 let full_bench () =
   let t_start = Unix.gettimeofday () in
-  section "micro-benchmarks (bechamel, monotonic clock)" benchmark;
   section "Figure 1: expected lifetime comparison (analytic, kappa = 0.5)" (fun () ->
       print_string (Fortress_util.Table.render (Figures.figure1_table ~points:13 ())));
   section "Figure 2: S2PO expected lifetime as kappa varies" (fun () ->
@@ -778,9 +562,18 @@ let full_bench () =
   section "Ablation A7: optimizing attacker budget split" (fun () ->
       print_string (Fortress_util.Table.render (Ablations.budget_split_table ())));
   section "Service quality under attack (degradation)" (fun () ->
+      (* A8's operating point: one request every 30 time units over a
+         30-step horizon, kappa 0.8, chi = 2^14 *)
+      let module Inject = Fortress_exp.Inject in
+      let module Load_compare = Fortress_exp.Load_compare in
+      let spec = Result.get_ok (Fortress_load.Workload.spec_of_string "uniform:period=30") in
+      let config =
+        { Inject.default_config with trials = 1; chi = 1 lsl 14; kappa = 0.8; max_steps = 30 }
+      in
       print_string
         (Fortress_util.Table.render
-           (Fortress_exp.Degradation.table (Fortress_exp.Degradation.run ()))));
+           (Load_compare.degradation_table
+              (Load_compare.degradation ~config ~omegas:[ 0; 8; 32; 128 ] spec))));
   section "PODC 2009 claim: fortified PB vs SMR with proactive recovery" (fun () ->
       print_string (Fortress_util.Table.render (Figures.podc_claim_table ~points:7 ())));
   section "Lifetime distribution shapes (alpha = 0.002, kappa = 0.5)" (fun () ->
@@ -828,8 +621,7 @@ let full_bench () =
   let events, event_seconds = measure_event_throughput () in
   Printf.printf "== observability throughput ==\n";
   Printf.printf "instrumented campaign emitted %d events in %.3f s cpu (%.0f events/sec)\n\n" events
-    event_seconds
-    (if event_seconds > 0.0 then float_of_int events /. event_seconds else 0.0);
+    event_seconds (ratio (float_of_int events) event_seconds);
   let interceptor = measure_interceptor_overhead () in
   Printf.printf "== fault interceptor overhead (hot Network.send path) ==\n";
   List.iter

@@ -217,11 +217,10 @@ let validate_cmd =
 
 let ablation_cmd =
   let which_arg =
-    let doc = "Which ablation: np | chi | launchpad | kappa | diversity | overhead | budget | degradation." in
+    let doc = "Which ablation: np | chi | launchpad | kappa | diversity | overhead | budget." in
     Arg.(required & pos 0 (some (Arg.enum
       [ ("np", `Np); ("chi", `Chi); ("launchpad", `Launchpad); ("kappa", `Kappa);
-        ("diversity", `Diversity); ("overhead", `Overhead); ("budget", `Budget);
-        ("degradation", `Degradation) ])) None
+        ("diversity", `Diversity); ("overhead", `Overhead); ("budget", `Budget) ])) None
       & info [] ~docv:"WHICH" ~doc)
   in
   let run which csv =
@@ -234,12 +233,11 @@ let ablation_cmd =
       | `Diversity -> Ablations.limited_diversity_table ()
       | `Overhead -> Ablations.overhead_table ()
       | `Budget -> Ablations.budget_split_table ()
-      | `Degradation -> Fortress_exp.Degradation.table (Fortress_exp.Degradation.run ())
     in
     print_table ~csv table
   in
   let term = Term.(const run $ which_arg $ csv_arg) in
-  Cmd.v (Cmd.info "ablation" ~doc:"Run one of the design-choice ablations and extensions (A1-A8).") term
+  Cmd.v (Cmd.info "ablation" ~doc:"Run one of the design-choice ablations and extensions (A1-A7; A8 is load --degradation).") term
 
 (* ---- podc ---- *)
 

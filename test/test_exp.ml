@@ -223,22 +223,39 @@ let test_ablation_tables_render () =
   Alcotest.(check bool) "overhead table" true
     (Table.row_count (Ablations.overhead_table ~requests:20 ()) = 3)
 
+(* A8's operating point (one trial, kappa 0.8, chi = 2^14) over [steps]
+   steps, with one legitimate request every [period] time units *)
+let degradation_points ~omegas ~steps ~period =
+  let spec =
+    Result.get_ok
+      (Fortress_load.Workload.spec_of_string (Printf.sprintf "uniform:period=%g" period))
+  in
+  let config =
+    { Inject.default_config with trials = 1; chi = 1 lsl 14; kappa = 0.8; max_steps = steps }
+  in
+  Load_compare.degradation ~config ~omegas spec
+
 let test_degradation_service_quality_holds () =
-  let points = Degradation.run ~omegas:[ 0; 64 ] ~requests:40 ~horizon:15 () in
-  match points with
+  let fortress =
+    List.filter
+      (fun p -> p.Load_compare.dp_stack = "fortress")
+      (degradation_points ~omegas:[ 0; 64 ] ~steps:15 ~period:37.5)
+  in
+  match fortress with
   | [ baseline; under_attack ] ->
-      Alcotest.(check bool) "baseline serves everything" true
-        (baseline.Degradation.served_fraction > 0.95);
+      let avail p = Option.value ~default:0.0 p.Load_compare.dp_availability in
+      let p50 p = Option.get p.Load_compare.dp_p50 in
+      Alcotest.(check bool) "baseline serves everything" true (avail baseline > 0.95);
       (* proxies absorb the probe load: legitimate quality is unaffected *)
-      Alcotest.(check bool) "no loss under attack" true
-        (under_attack.Degradation.served_fraction > 0.95);
+      Alcotest.(check bool) "no loss under attack" true (avail under_attack > 0.95);
       Alcotest.(check bool) "no latency inflation" true
-        (under_attack.Degradation.mean_rtt < baseline.Degradation.mean_rtt *. 1.2)
-  | _ -> Alcotest.fail "expected two points"
+        (p50 under_attack < p50 baseline *. 1.2)
+  | _ -> Alcotest.fail "expected two fortress points"
 
 let test_degradation_table () =
-  let points = Degradation.run ~omegas:[ 0 ] ~requests:10 ~horizon:5 () in
-  Alcotest.(check int) "one row" 1 (Table.row_count (Degradation.table points))
+  let points = degradation_points ~omegas:[ 0 ] ~steps:5 ~period:50.0 in
+  Alcotest.(check int) "one row per stack" 2
+    (Table.row_count (Load_compare.degradation_table points))
 
 (* ---- Sensitivity ---- *)
 
