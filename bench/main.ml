@@ -1,19 +1,18 @@
-(* The reproduction's benchmark: regenerates every table the paper's
-   argument rests on (Figures 1-2, the section-6 ordering, the ablations,
-   V1/V2) with each section timed on the wall clock, then measures the
-   cost of every plane built around them -- event throughput, interceptor
-   and profiler overhead, pooled speedup, the same-process overhead ratios
-   and workload throughput -- and writes BENCH_fortress.json, which
-   .github/scripts/bench_compare.py gates against bench/baseline.json.
+(* The reproduction's benchmark: times and prints every entry of
+   Fortress_exp.Artefact (Figures 1-2, the section-6 ordering, the
+   ablations, V1/V2 and the tables around them) as one wall-clock section
+   each, then measures the cost of every plane built around them -- event
+   throughput, interceptor and profiler overhead, pooled speedup, the
+   same-process overhead ratios and workload throughput -- and writes
+   BENCH_fortress.json, which .github/scripts/bench_compare.py gates
+   against bench/baseline.json.
 
    Run with: dune exec bench/main.exe [-- --speedup-only] *)
 
 module Systems = Fortress_model.Systems
 module Step_level = Fortress_mc.Step_level
-module Figures = Fortress_exp.Figures
-module Ablations = Fortress_exp.Ablations
 module Validation = Fortress_exp.Validation
-module Exec = Fortress_par.Exec
+module Artefact = Fortress_exp.Artefact
 
 (* ---- wall-clock section timings and the machine-readable report ---- *)
 
@@ -402,8 +401,8 @@ let measure_workload_throughput () =
         Option.value ~default:0.0 r.Inject.availability )
   | _ -> assert false
 
-(* The two long Monte-Carlo tables (A2, V1) run through the domain pool at
-   [default_jobs]; their renders are asserted against FNV digests of the
+(* The two long Monte-Carlo artefacts (A2, V1) run through the domain pool
+   at [default_jobs]; their tables are asserted against FNV digests of the
    committed sequential output, so the bench itself is the first
    large-scale determinism gate for the pooled executor. *)
 let assert_digest ~name ~expected rendered =
@@ -413,8 +412,7 @@ let assert_digest ~name ~expected rendered =
       (Printf.sprintf "%s changed under the pool: digest %s <> committed %s" name got
          expected)
 
-let a2_expected_digest = "36332ece1ea6a53d"
-let v1_expected_digest = "2b6543a3732f15b0"
+let pinned_digests = [ ("a2", "36332ece1ea6a53d"); ("v1", "2b6543a3732f15b0") ]
 
 let speedup_rows_json speedup =
   let module J = Fortress_obs.Json in
@@ -535,89 +533,16 @@ let speedup_only () =
 
 let full_bench () =
   let t_start = Unix.gettimeofday () in
-  section "Figure 1: expected lifetime comparison (analytic, kappa = 0.5)" (fun () ->
-      print_string (Fortress_util.Table.render (Figures.figure1_table ~points:13 ())));
-  section "Figure 2: S2PO expected lifetime as kappa varies" (fun () ->
-      print_string (Fortress_util.Table.render (Figures.figure2_table ~points:13 ())));
-  section "Ordering check (paper section 6 summary chain)" (fun () ->
-      print_string (Fortress_util.Table.render (Figures.ordering_table ~points:7 ())));
-  section "Ablation A1: proxy count" (fun () ->
-      print_string (Fortress_util.Table.render (Ablations.proxy_count_table ~points:5 ())));
-  section "Ablation A2: key entropy under SO (probe-level)" (fun () ->
-      let rendered =
-        Fortress_util.Table.render
-          (Ablations.entropy_table ~trials:100 ~jobs:(Exec.default_jobs ()) ())
-      in
-      print_string rendered;
-      assert_digest ~name:"A2 entropy table" ~expected:a2_expected_digest rendered);
-  section "Ablation A3: launch-pad discipline (alpha = 0.005)" (fun () ->
-      print_string (Fortress_util.Table.render (Ablations.launchpad_table ())));
-  section "Ablation A4: proxy detection threshold -> effective kappa" (fun () ->
-      print_string (Fortress_util.Table.render (Ablations.detection_table ())));
-  section "Ablation A5: limited diversity (candidate-set size)" (fun () ->
-      print_string
-        (Fortress_util.Table.render (Ablations.limited_diversity_table ~trials:1000 ())));
-  section "Ablation A6: proxy overhead on the request path" (fun () ->
-      print_string (Fortress_util.Table.render (Ablations.overhead_table ())));
-  section "Ablation A7: optimizing attacker budget split" (fun () ->
-      print_string (Fortress_util.Table.render (Ablations.budget_split_table ())));
-  section "Service quality under attack (degradation)" (fun () ->
-      (* A8's operating point: one request every 30 time units over a
-         30-step horizon, kappa 0.8, chi = 2^14 *)
-      let module Inject = Fortress_exp.Inject in
-      let module Load_compare = Fortress_exp.Load_compare in
-      let spec = Result.get_ok (Fortress_load.Workload.spec_of_string "uniform:period=30") in
-      let config =
-        { Inject.default_config with trials = 1; chi = 1 lsl 14; kappa = 0.8; max_steps = 30 }
-      in
-      print_string
-        (Fortress_util.Table.render
-           (Load_compare.degradation_table
-              (Load_compare.degradation ~config ~omegas:[ 0; 8; 32; 128 ] spec))));
-  section "PODC 2009 claim: fortified PB vs SMR with proactive recovery" (fun () ->
-      print_string (Fortress_util.Table.render (Figures.podc_claim_table ~points:7 ())));
-  section "Lifetime distribution shapes (alpha = 0.002, kappa = 0.5)" (fun () ->
-      let shape_profiles =
-        List.map
-          (fun s -> Fortress_exp.Distributions.profile ~trials:2000 s ~alpha:0.002 ~kappa:0.5)
-          [ Systems.S1_PO; Systems.S2_PO; Systems.S1_SO; Systems.S0_SO ]
-      in
-      print_string
-        (Fortress_util.Table.render (Fortress_exp.Distributions.table shape_profiles)));
-  section "Threat matrix (paper section 2.1)" (fun () ->
-      let module Threat = Fortress_defense.Threat in
-      let module Keyspace = Fortress_defense.Keyspace in
-      let ks = Keyspace.pax_aslr_32bit in
-      print_string
-        (Fortress_util.Table.render
-           (Threat.matrix_table
-              [ []; [ Threat.W_xor_x ]; [ Threat.W_xor_x; Threat.Isr ks ];
-                [ Threat.Aslr ks ]; [ Threat.W_xor_x; Threat.Aslr ks ];
-                [ Threat.W_xor_x; Threat.Aslr ks; Threat.Got_randomization ks ] ])));
-  section "Sensitivity: elasticities at alpha = 1e-3, kappa = 0.5" (fun () ->
-      print_string (Fortress_util.Table.render (Fortress_exp.Sensitivity.table ())));
-  section "Validation V1: analytic vs step-level vs probe-level" (fun () ->
-      let lines = Validation.run ~trials:200 ~jobs:(Exec.default_jobs ()) () in
-      let rendered = Fortress_util.Table.render (Validation.table lines) in
-      print_string rendered;
-      assert_digest ~name:"V1 validation table" ~expected:v1_expected_digest rendered;
-      Printf.printf "max |step-MC - analytic| / analytic = %.3f\n"
-        (Validation.max_relative_error lines));
-  section "Validation V2: full packet-level stack vs the models" (fun () ->
-      let line = Validation.protocol ~trials:60 () in
-      print_string (Fortress_util.Table.render (Validation.protocol_table line));
-      Printf.printf "stack agreement: %s\n"
-        (if Validation.protocol_agrees line then "holds" else "FAILS"));
-  section "Fault-injection campaign: EL under the built-in plan ladder" (fun () ->
-      let module Inject = Fortress_exp.Inject in
-      let module Plan = Fortress_faults.Plan in
-      let config = { Inject.default_config with trials = 6 } in
-      let report =
-        Inject.run ~config ~plans:[ Plan.lossy; Plan.partition; Plan.crashy; Plan.chaos ] ()
-      in
-      print_string (Fortress_util.Table.render (Inject.table report));
-      Printf.printf "escalation ordering (EL non-increasing): %s\n"
-        (if Inject.monotone_non_increasing report then "holds" else "FAILS"));
+  List.iter
+    (fun (a : Artefact.t) ->
+      section a.title (fun () ->
+          let parts = a.render () in
+          print_string (Artefact.text parts);
+          (* the digest covers the entry's table, its first part *)
+          match List.assoc_opt a.id pinned_digests with
+          | Some expected -> assert_digest ~name:a.title ~expected (Artefact.text [ List.hd parts ])
+          | None -> ()))
+    Artefact.all;
   let events, event_seconds = measure_event_throughput () in
   Printf.printf "== observability throughput ==\n";
   Printf.printf "instrumented campaign emitted %d events in %.3f s cpu (%.0f events/sec)\n\n" events

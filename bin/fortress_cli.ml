@@ -568,8 +568,8 @@ let inject_cmd =
               ignore (Fortress_obs.Sink.attach sink sub);
               Some (path, read)
         in
-        let config = { Inject.default_config with trials; seed; chi; omega; kappa;
-                       max_steps = steps; jobs; load; telemetry = timeline; causal } in
+        let config = { Inject.trials; seed; chi; omega; kappa; max_steps = steps; jobs; load;
+                       telemetry = timeline; causal } in
         let stack = if smr then `Smr else `Fortress in
         let report = Inject.run ~sink ?strategy ?defender ~stack ~config ~plans () in
         print_table ~csv (Inject.table report);
@@ -838,20 +838,7 @@ let timeline_cmd =
     let sink = Obs.Sink.create () in
     ignore (Obs.Sink.attach sink (Obs.Sink.counting registry));
     ignore (Obs.Sink.attach sink (Obs.Timeline.subscriber timeline));
-    let malformed = ref 0 in
-    let ic = open_in file in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        try
-          while true do
-            let line = input_line ic in
-            if String.trim line <> "" then
-              match Obs.Sink.parse_line line with
-              | Ok (time, ev) -> Obs.Sink.emit sink ~time ev
-              | Error _ -> incr malformed
-          done
-        with End_of_file -> ());
+    let malformed = Obs.Sink.read_file file (Obs.Sink.emit sink) in
     Obs.Timeline.finish timeline;
     let signals = Obs.Signal.of_timeline ~registry timeline in
     let retained = List.length (Obs.Timeline.windows timeline) in
@@ -861,7 +848,7 @@ let timeline_cmd =
       (Obs.Timeline.window_count timeline)
       width retained
       (Obs.Timeline.dropped timeline)
-      (if !malformed > 0 then Printf.sprintf ", %d malformed lines" !malformed else "");
+      (if malformed > 0 then Printf.sprintf ", %d malformed lines" malformed else "");
     (match Obs.Metrics.find_histogram registry "timeline.window_events" with
     | Some h ->
         let v = Obs.Metrics.histogram_value h in
@@ -925,26 +912,13 @@ let trace_cmd =
              ~doc:"Write the OpenMetrics exposition of the latency summaries to $(docv).")
   in
   let run file limit openmetrics csv =
-    let malformed = ref 0 in
     let events = ref [] in
-    let ic = open_in file in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        try
-          while true do
-            let line = input_line ic in
-            if String.trim line <> "" then
-              match Obs.Sink.parse_line line with
-              | Ok tev -> events := tev :: !events
-              | Error _ -> incr malformed
-          done
-        with End_of_file -> ());
+    let malformed = Obs.Sink.read_file file (fun ~time ev -> events := (time, ev) :: !events) in
     let events = List.rev !events in
     let latency = Obs.Latency.of_events events in
     Printf.printf "trace %s: %d events, %d closed latency chains%s\n" file
       (List.length events) (Obs.Latency.total latency)
-      (if !malformed > 0 then Printf.sprintf ", %d malformed lines" !malformed else "");
+      (if malformed > 0 then Printf.sprintf ", %d malformed lines" malformed else "");
     Printf.printf "\ndetection/reaction latency (virtual time):\n";
     print_table ~csv (Obs.Latency.table latency);
     if Obs.Latency.total latency > 0 then begin
@@ -996,13 +970,12 @@ let prof_cmd =
     Arg.(value & opt int 8 & info [ "omega" ] ~docv:"OMEGA" ~doc:"Probes per channel per step.")
   in
   let run trials seed target batch early_stop jobs outdir chi omega kappa =
+    Fortress_exp.Export.ensure_dir outdir;
     let t =
       Profiling.run ~trials ~seed ~target_rel:target ~batch ~early_stop ~jobs ~chi ~omega
         ~kappa ()
     in
     print_string (Profiling.render t);
-    (try if not (Sys.is_directory outdir) then failwith (outdir ^ " is not a directory")
-     with Sys_error _ -> Sys.mkdir outdir 0o755);
     let write name json =
       let path = Filename.concat outdir name in
       Fortress_prof.Trace_export.write ~path json;
@@ -1078,52 +1051,18 @@ let sensitivity_cmd =
        ~doc:"Elasticities of expected lifetime with respect to alpha and kappa.")
     term
 
-(* ---- choose ---- *)
+(* ---- choose, threats: one Artefact entry each ---- *)
+
+let artefact_cmd id ~doc =
+  let run () = print_string Fortress_exp.Artefact.(text ((find id).render ())) in
+  Cmd.v (Cmd.info id ~doc) Term.(const run $ const ())
 
 let choose_cmd =
-  let run () =
-    let module Choice_map = Fortress_exp.Choice_map in
-    print_string (Choice_map.map_string ());
-    print_endline "";
-    print_endline "the DSM premium (EL(S0PO) / EL(S2PO)) - the lifetime factor bought by";
-    print_endline "making the service a deterministic state machine:";
-    print_string (Fortress_util.Table.render (Choice_map.premium_table ()))
-  in
-  let term = Term.(const run $ const ()) in
-  Cmd.v
-    (Cmd.info "choose"
-       ~doc:"The section-7 design choice, mapped over the (alpha, kappa) plane.")
-    term
-
-(* ---- threats ---- *)
+  artefact_cmd "choose" ~doc:"The section-7 design choice, mapped over the (alpha, kappa) plane."
 
 let threats_cmd =
-  let run () =
-    let module Threat = Fortress_defense.Threat in
-    let module Keyspace = Fortress_defense.Keyspace in
-    let ks = Keyspace.pax_aslr_32bit in
-    let stacks =
-      [ [];
-        [ Threat.W_xor_x ];
-        [ Threat.Isr ks ];
-        [ Threat.Heap_randomization ks ];
-        [ Threat.W_xor_x; Threat.Isr ks; Threat.Heap_randomization ks ];
-        [ Threat.Aslr ks ];
-        [ Threat.W_xor_x; Threat.Aslr ks ];
-        [ Threat.W_xor_x; Threat.Aslr ks; Threat.Got_randomization ks ] ]
-    in
-    print_string (Fortress_util.Table.render (Threat.matrix_table stacks));
-    print_endline "";
-    print_endline "reading the table (paper section 2.1): W^X, ISR and heap randomization";
-    print_endline "are all bypassed by return-to-libc; only address randomization forces";
-    print_endline "the attacker into the keyed de-randomization game the rest of this";
-    print_endline "repository models, and layering randomizers multiplies the entropy."
-  in
-  let term = Term.(const run $ const ()) in
-  Cmd.v
-    (Cmd.info "threats"
-       ~doc:"The section-2.1 defence/attack-vector matrix and effective entropies.")
-    term
+  artefact_cmd "threats"
+    ~doc:"The section-2.1 defence/attack-vector matrix and effective entropies."
 
 (* ---- crossover ---- *)
 
@@ -1185,4 +1124,8 @@ let () =
          for the distinct keys a system draws; same exit code as an
          uncaught exception, without the backtrace noise *)
       Printf.eprintf "fortress-cli: invalid argument: %s\n" msg;
+      exit 2
+  | exception Sys_error msg ->
+      (* an output path that cannot be written, e.g. in a missing directory *)
+      Printf.eprintf "fortress-cli: %s\n" msg;
       exit 2

@@ -28,18 +28,21 @@ set key outside
 plot for [col=2:8] "figure2.csv" using 1:col with linespoints title columnheader(col)
 |}
 
-let artefacts () =
+(* each CSV is the table of one Artefact entry *)
+let csvs =
   [
-    ("figure1.csv", Table.to_csv (Figures.figure1_table ~points:25 ()));
-    ("figure2.csv", Table.to_csv (Figures.figure2_table ~points:25 ()));
-    ("ordering.csv", Table.to_csv (Figures.ordering_table ~points:13 ()));
-    ("ablation_np.csv", Table.to_csv (Ablations.proxy_count_table ~points:13 ()));
-    ("ablation_launchpad.csv", Table.to_csv (Ablations.launchpad_table ()));
-    ("podc_claim.csv", Table.to_csv (Figures.podc_claim_table ~points:13 ()));
-    ("sensitivity.csv", Table.to_csv (Sensitivity.table ()));
-    ("figure1.gp", gnuplot_figure1);
-    ("figure2.gp", gnuplot_figure2);
+    ("figure1.csv", "figure1");
+    ("figure2.csv", "figure2");
+    ("ordering.csv", "ordering");
+    ("ablation_np.csv", "a1");
+    ("ablation_launchpad.csv", "a3");
+    ("podc_claim.csv", "podc");
+    ("sensitivity.csv", "sensitivity");
   ]
+
+let artefacts () =
+  List.map (fun (file, id) -> (file, Table.to_csv (Artefact.table id))) csvs
+  @ [ ("figure1.gp", gnuplot_figure1); ("figure2.gp", gnuplot_figure2) ]
 
 (* [Sys.mkdir] fails with ENOENT when the parent is missing: create the
    whole chain, tolerating components that already exist (or races that

@@ -1,12 +1,13 @@
 (** Export the evaluation data for external plotting.
 
-    Writes one CSV per artefact plus ready-to-run gnuplot scripts that
-    regenerate the paper's two figures as log-log PNG plots, so the data
-    can leave the terminal. *)
+    Writes the tables of seven {!Artefact} entries as CSV, plus
+    ready-to-run gnuplot scripts that regenerate the paper's two figures
+    as log-log PNG plots, so the data can leave the terminal. *)
 
 val artefacts : unit -> (string * string) list
-(** [(filename, contents)] pairs: the CSVs for Figure 1, Figure 2, the
-    ordering table, ablations A1/A3 and the PODC claim, plus
+(** [(filename, contents)] pairs: the CSVs of the {!Artefact} tables for
+    Figure 1, Figure 2, the ordering, ablations A1/A3, the PODC claim and
+    the sensitivity table, at the operating points the report shows, plus
     [figure1.gp] / [figure2.gp] gnuplot scripts referencing them. *)
 
 val ensure_dir : string -> unit

@@ -18,7 +18,6 @@ type config = {
   omega : int;
   kappa : float;
   max_steps : int;
-  workload_period : float;
   seed : int;
   jobs : int;
   load : Workload.spec option;
@@ -44,13 +43,16 @@ let default_config =
     omega = 8;
     kappa = 0.5;
     max_steps = 400;
-    workload_period = 20.0;
     seed = 1;
     jobs = 1;
     load = None;
     telemetry = None;
     causal = false;
   }
+
+(* the fortress stack's availability probe: one request every this many
+   time units *)
+let workload_period = 20.0
 
 type run = {
   plan_name : string;
@@ -136,7 +138,7 @@ let stack_trial (type s) (module D : Stack_driver.S with type t = s) ?strategy ?
     let client = D.new_client stack ~name:"workload" in
     let n = ref 0 in
     ignore
-      (Engine.every engine ~period:cfg.workload_period (fun () ->
+      (Engine.every engine ~period:workload_period (fun () ->
            incr n;
            incr issued;
            ignore

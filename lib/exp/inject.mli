@@ -27,7 +27,6 @@ type config = {
   omega : int;  (** probes per channel per step *)
   kappa : float;
   max_steps : int;  (** campaign horizon in unit time-steps *)
-  workload_period : float;  (** one availability probe every this many time units *)
   seed : int;
   jobs : int;  (** trial-level parallelism; results are job-count invariant *)
   load : Fortress_load.Workload.spec option;
@@ -55,9 +54,10 @@ type config = {
 }
 
 val default_config : config
-(** trials 12, chi 256, omega 8, kappa 0.5, horizon 400 steps, workload
-    every 20.0, seed 1, jobs 1, telemetry and causal tracing off — the
-    protocol-validation operating point. *)
+(** trials 12, chi 256, omega 8, kappa 0.5, horizon 400 steps, seed 1,
+    jobs 1, telemetry and causal tracing off — the protocol-validation
+    operating point. A stack with a default workload (FORTRESS) gets one
+    availability probe every 20 time units in every trial. *)
 
 type run = {
   plan_name : string;

@@ -1,118 +1,14 @@
-module Table = Fortress_util.Table
-module Systems = Fortress_model.Systems
-
 type fidelity = Quick | Full
 
-let quick_sections =
-  [
-    "Figure 1: expected lifetime comparison";
-    "Figure 1 (plot)";
-    "Figure 2: S2PO as kappa varies";
-    "Figure 2 (plot)";
-    "Summary ordering";
-    "Kappa crossover";
-    "Ablation A1: proxy count";
-    "Ablation A3: launch-pad discipline";
-    "PODC 2009 claim";
-    "Design choice map";
-  ]
-
-let full_sections =
-  quick_sections
-  @ [
-      "Ablation A2: key entropy under SO";
-      "Ablation A4: detection threshold vs effective kappa";
-      "Ablation A5: limited diversity";
-      "Ablation A7: optimizing attacker";
-      "Sensitivity";
-      "Lifetime distribution shapes";
-      "Validation: analytic vs step-level vs probe-level";
-      "Validation: packet-level stack";
-    ]
-
-let section_titles = function Quick -> quick_sections | Full -> full_sections
-
-let add_section buf title body =
-  Buffer.add_string buf (Printf.sprintf "## %s\n\n" title);
-  Buffer.add_string buf body;
-  Buffer.add_string buf "\n"
-
-let code body = Printf.sprintf "```\n%s```\n" body
+let section (a : Artefact.t) =
+  Printf.sprintf "## %s\n\n```\n%s```\n\n" a.title (Artefact.text (a.render ()))
 
 let generate ?(fidelity = Quick) () =
-  let buf = Buffer.create 16_384 in
-  Buffer.add_string buf "# FORTRESS reproduction report\n\n";
-  Buffer.add_string buf
-    "Auto-generated by `fortress-cli report`. Parameters follow the paper:\n\
-     chi = 2^16, alpha in [1e-5, 1e-2], S0 = 4-replica SMR, S1 = 3-replica\n\
-     primary-backup, S2 = FORTRESS (np = ns = 3).\n\n";
-  add_section buf "Figure 1: expected lifetime comparison"
-    (code (Table.render (Figures.figure1_table ~points:13 ())));
-  add_section buf "Figure 1 (plot)" (code (Figures.figure1_plot ()));
-  add_section buf "Figure 2: S2PO as kappa varies"
-    (code (Table.render (Figures.figure2_table ~points:13 ())));
-  add_section buf "Figure 2 (plot)" (code (Figures.figure2_plot ()));
-  let ordering_body =
-    let r = Figures.ordering ~points:9 () in
-    let yes b = if b then "holds" else "FAILS" in
-    Table.render (Figures.ordering_table ~points:9 ())
-    ^ Printf.sprintf
-        "\nS0PO -> S2PO (kappa > 0): %s\nS2PO -> S1PO (kappa = 0.5): %s\nS1PO -> S1SO: %s\nS1SO -> S0SO: %s\n"
-        (yes r.Figures.s0po_beats_s2po)
-        (yes r.Figures.s2po_beats_s1po_at_low_kappa)
-        (yes r.Figures.s1po_beats_s1so)
-        (yes r.Figures.s1so_beats_s0so)
-  in
-  add_section buf "Summary ordering" (code ordering_body);
-  let crossover_body =
-    String.concat ""
-      (List.map
-         (fun alpha ->
-           Printf.sprintf "alpha = %-8g kappa* = %.4f\n" alpha
-             (Figures.kappa_crossover_at ~alpha))
-         [ 1e-4; 1e-3; 1e-2 ])
-  in
-  add_section buf "Kappa crossover" (code crossover_body);
-  add_section buf "Ablation A1: proxy count"
-    (code (Table.render (Ablations.proxy_count_table ~points:5 ())));
-  add_section buf "Ablation A3: launch-pad discipline"
-    (code (Table.render (Ablations.launchpad_table ())));
-  add_section buf "PODC 2009 claim"
-    (code
-       (Table.render (Figures.podc_claim_table ~points:7 ())
-       ^ Printf.sprintf "claim %s\n"
-           (if Figures.podc_claim_holds ~points:7 () then "holds" else "FAILS")));
-  add_section buf "Design choice map"
-    (code (Choice_map.map_string () ^ "\n" ^ Table.render (Choice_map.premium_table ())));
-  (match fidelity with
-  | Quick -> ()
-  | Full ->
-      add_section buf "Ablation A2: key entropy under SO"
-        (code (Table.render (Ablations.entropy_table ~trials:100 ())));
-      add_section buf "Ablation A4: detection threshold vs effective kappa"
-        (code (Table.render (Ablations.detection_table ())));
-      add_section buf "Ablation A5: limited diversity"
-        (code (Table.render (Ablations.limited_diversity_table ~trials:1000 ())));
-      add_section buf "Ablation A7: optimizing attacker"
-        (code (Table.render (Ablations.budget_split_table ())));
-      add_section buf "Sensitivity" (code (Table.render (Sensitivity.table ())));
-      let profiles =
-        List.map
-          (fun s -> Distributions.profile ~trials:3000 s ~alpha:0.002 ~kappa:0.5)
-          [ Systems.S1_PO; Systems.S2_PO; Systems.S1_SO; Systems.S0_SO ]
-      in
-      add_section buf "Lifetime distribution shapes"
-        (code (Table.render (Distributions.table profiles)));
-      let lines = Validation.run ~trials:300 () in
-      add_section buf "Validation: analytic vs step-level vs probe-level"
-        (code
-           (Table.render (Validation.table lines)
-           ^ Printf.sprintf "max |step-MC - analytic| / analytic = %.3f\n"
-               (Validation.max_relative_error lines)));
-      let line = Validation.protocol ~trials:60 () in
-      add_section buf "Validation: packet-level stack"
-        (code
-           (Table.render (Validation.protocol_table line)
-           ^ Printf.sprintf "stack agreement: %s\n"
-               (if Validation.protocol_agrees line then "holds" else "FAILS"))));
-  Buffer.contents buf
+  "# FORTRESS reproduction report\n\n\
+   Auto-generated by `fortress-cli report`. Parameters follow the paper:\n\
+   chi = 2^16, alpha in [1e-5, 1e-2], S0 = 4-replica SMR, S1 = 3-replica\n\
+   primary-backup, S2 = FORTRESS (np = ns = 3).\n\n"
+  ^ String.concat ""
+      (List.filter_map
+         (fun (a : Artefact.t) -> if a.quick || fidelity = Full then Some (section a) else None)
+         Artefact.all)

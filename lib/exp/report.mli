@@ -1,18 +1,16 @@
-(** One-shot markdown report covering every reproduced artefact.
+(** One-shot markdown report of the {!Artefact} list.
 
     The report is the machine-generated companion to EXPERIMENTS.md: it
-    regenerates each figure, ablation and validation run at the requested
-    fidelity and renders them as a single markdown document, so reviewers
-    can diff a fresh run against the committed record. *)
+    renders every artefact under its bench section title, in bench order,
+    as one markdown document, so a fresh run diffs against the committed
+    record ([test/golden/report-full.md] pins the full report). *)
 
 type fidelity =
-  | Quick  (** analytic tables only, coarse grids — seconds *)
-  | Full  (** adds Monte-Carlo validation, distribution shapes and the
-              campaign-driven ablation — minutes *)
+  | Quick  (** the analytic artefacts only — seconds *)
+  | Full  (** every artefact, Monte-Carlo and packet-level ones included *)
+
+val section : Artefact.t -> string
+(** One artefact's block: a [## title] heading and its fenced output. *)
 
 val generate : ?fidelity:fidelity -> unit -> string
 (** The whole report as markdown. *)
-
-val section_titles : fidelity -> string list
-(** Titles in output order (used by tests and the CLI's table of
-    contents). *)

@@ -171,20 +171,6 @@ let of_events events =
   in
   merge (List.rev_map extract !segments |> List.rev)
 
-let of_file path =
-  let ic = open_in path in
-  let events = ref [] in
-  (try
-     while true do
-       let l = input_line ic in
-       if String.trim l <> "" then
-         match Sink.parse_line l with
-         | Ok te -> events := te :: !events
-         | Error _ -> ()
-     done
-   with End_of_file -> close_in ic);
-  of_events (List.rev !events)
-
 let num = Printf.sprintf "%.6g"
 
 let table t =

@@ -67,9 +67,6 @@ val of_events : (float * Event.t) list -> t
     JSONL line — so the result is invariant under event reordering within
     a segment (late-delivery tolerance). *)
 
-val of_file : string -> t
-(** {!of_events} over a JSONL trace file; unparseable lines are skipped. *)
-
 val table : t -> Fortress_util.Table.t
 (** Per-kind summary table (n, censored, mean, p50/p90/p99, max). *)
 

@@ -164,3 +164,18 @@ let parse_line s =
             Option.value ~default:0.0 (Option.bind (Json.member "t" json) Json.num)
           in
           Ok (time, ev))
+
+let read_file path (sub : subscriber) =
+  In_channel.with_open_text path (fun ic ->
+      let rec go malformed =
+        match In_channel.input_line ic with
+        | None -> malformed
+        | Some l when String.trim l = "" -> go malformed
+        | Some l -> (
+            match parse_line l with
+            | Ok (time, ev) ->
+                sub ~time ev;
+                go malformed
+            | Error _ -> go (malformed + 1))
+      in
+      go 0)

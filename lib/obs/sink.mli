@@ -89,3 +89,9 @@ val line : time:float -> Event.t -> string
 (** [{"t": <time>, "event": ..., ...}] — one trace line. *)
 
 val parse_line : string -> (float * Event.t, string) result
+
+val read_file : string -> subscriber -> int
+(** [read_file path sub] parses every non-blank line of the JSONL trace
+    [path] and hands each event to [sub] in file order; returns the count
+    of lines that did not parse. Raises [Sys_error] when [path] cannot be
+    opened. *)

@@ -183,30 +183,10 @@ let of_events events =
   List.iter (fun (time, ev) -> add acc time ev) events;
   finalize acc
 
-let of_lines ?(on_malformed = ignore) lines =
-  let acc = fresh () in
-  Seq.iter
-    (fun line ->
-      if String.trim line <> "" then
-        match Sink.parse_line line with
-        | Ok (time, ev) -> add acc time ev
-        | Error _ ->
-            acc.a_malformed <- acc.a_malformed + 1;
-            on_malformed line)
-    lines;
-  finalize acc
-
 let of_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let lines =
-        Seq.of_dispenser (fun () -> match input_line ic with
-          | line -> Some line
-          | exception End_of_file -> None)
-      in
-      of_lines lines)
+  let acc = fresh () in
+  acc.a_malformed <- Sink.read_file path (fun ~time ev -> add acc time ev);
+  finalize acc
 
 let steps_observed s = max s.steps (max s.rekeys s.recovers)
 

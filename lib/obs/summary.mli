@@ -36,7 +36,6 @@ type t = {
 }
 
 val of_events : (float * Event.t) list -> t
-val of_lines : ?on_malformed:(string -> unit) -> string Seq.t -> t
 val of_file : string -> t
 
 val table : t -> Fortress_util.Table.t

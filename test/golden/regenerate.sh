@@ -17,3 +17,4 @@ mkdir -p "$dir"
 "$cli" inject --plan all --seed 42 --strategy stale-key-rush > "$dir/inject-stale-key-rush.txt"
 "$cli" inject --plan all --seed 42 --smr --strategy partition-follower \
   > "$dir/inject-smr-partition-follower.txt"
+"$cli" report --full > "$dir/report-full.md"

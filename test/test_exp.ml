@@ -360,7 +360,9 @@ let test_report_quick_sections () =
         go 0
       in
       Alcotest.(check bool) (Printf.sprintf "section %S present" title) true found)
-    (Report.section_titles Report.Quick)
+    (List.filter_map
+       (fun (a : Fortress_exp.Artefact.t) -> if a.quick then Some a.title else None)
+       Fortress_exp.Artefact.all)
 
 let test_report_contains_figures () =
   let report = Report.generate ~fidelity:Report.Quick () in

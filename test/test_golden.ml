@@ -4,9 +4,36 @@
    catches a moved trace digest. Regenerate with test/golden/regenerate.sh
    when a change moves an output on purpose, and say why in CHANGES.md. *)
 
+module Artefact = Fortress_exp.Artefact
+module Report = Fortress_exp.Report
 module Inject = Fortress_exp.Inject
 module Plan = Fortress_faults.Plan
 module Strategy = Fortress_attack.Adaptive.Strategy
+
+let golden_report = lazy (In_channel.with_open_text "golden/report-full.md" In_channel.input_all)
+
+let rec index_from text i sub =
+  if i + String.length sub > String.length text then None
+  else if String.sub text i (String.length sub) = sub then Some i
+  else index_from text (i + 1) sub
+
+(* the committed report's block for [title]: from its heading line up to
+   the next heading, or to the end of the file *)
+let golden_block title =
+  let text = Lazy.force golden_report in
+  match index_from text 0 ("\n## " ^ title ^ "\n") with
+  | None -> Alcotest.failf "no block %S in golden/report-full.md" title
+  | Some i ->
+      let stop =
+        match index_from text (i + 1) "\n## " with
+        | Some j -> j + 1
+        | None -> String.length text
+      in
+      String.sub text (i + 1) (stop - i - 1)
+
+(* an analytic artefact, or A2, renders to exactly its committed block *)
+let test_artefact_block (a : Artefact.t) () =
+  Alcotest.(check string) (a.id ^ " block") (golden_block a.title) (Report.section a)
 
 (* [inject --plan chaos --seed 42 --trials 1 ...]: the none and chaos
    digests of each of the four golden inject runs *)
@@ -21,6 +48,13 @@ let test_inject_digests ?strategy ~stack expected () =
 let () =
   Alcotest.run "fortress_golden"
     [
+      ( "report blocks",
+        List.filter_map
+          (fun (a : Artefact.t) ->
+            if a.quick || a.id = "a2" then
+              Some (Alcotest.test_case a.id `Quick (test_artefact_block a))
+            else None)
+          Artefact.all );
       ( "inject digests",
         [
           Alcotest.test_case "fortress" `Quick
