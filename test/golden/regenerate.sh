@@ -8,8 +8,16 @@
 # The four inject runs pin every trace digest of the fault-plan ladder on
 # both stacks, with and without an adaptive attacker; report-full.md pins
 # every artefact of Fortress_exp.Artefact as `report --full` renders it.
+#
+# The obs-*.txt and *.om files pin the observability plane: one small
+# traced campaign (timeline, defender, causal spans) and every reader of
+# its trace (`timeline` at two widths, one of them evicting and dropping,
+# `trace`, `obs`), plus the `Sink.counting` table of `simulate --metrics`.
+# The readers run inside DIR on fixed relative names, so no printed path
+# depends on DIR; the JSONL trace and the Perfetto artifact are too large
+# to commit and are deleted afterwards.
 set -e
-cli=./_build/default/bin/fortress_cli.exe
+cli=$(pwd)/_build/default/bin/fortress_cli.exe
 dir=${1:-test/golden}
 mkdir -p "$dir"
 "$cli" inject --plan all --seed 42 > "$dir/inject-plain.txt"
@@ -18,3 +26,14 @@ mkdir -p "$dir"
 "$cli" inject --plan all --seed 42 --smr --strategy partition-follower \
   > "$dir/inject-smr-partition-follower.txt"
 "$cli" report --full > "$dir/report-full.md"
+(
+  cd "$dir"
+  "$cli" inject --plan chaos --seed 42 --trials 2 --timeline 100 --defender alarm-rekey \
+    --causal-trace obs-causal.json --trace-out obs.jsonl > obs-inject.txt
+  "$cli" timeline obs.jsonl --width 100 --openmetrics obs-timeline.om > obs-timeline.txt
+  "$cli" timeline obs.jsonl --width 37 --capacity 8 > obs-timeline-evict.txt
+  "$cli" trace obs.jsonl --openmetrics obs-latency.om > obs-trace.txt
+  "$cli" obs obs.jsonl > obs-summary.txt
+  rm obs.jsonl obs-causal.json
+)
+"$cli" simulate --attack-omega 8 --chi 256 --metrics --trace 25 > "$dir/obs-simulate-metrics.txt"
