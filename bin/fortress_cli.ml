@@ -83,6 +83,17 @@ let open_trace path =
     Printf.eprintf "fortress-cli: cannot open trace file: %s\n" msg;
     exit 1
 
+(* Open an output file before the work that fills it, so a path that
+   cannot be written fails at once (as a [Sys_error], a user error). The
+   returned closure writes the finished text, closes the file and returns
+   its path. *)
+let output_file path =
+  let oc = open_out path in
+  fun text ->
+    output_string oc text;
+    close_out oc;
+    path
+
 (* Run [f] against a sink wired to the requested consumers; the trace file
    is flushed and closed (and metrics printed) even when [f] raises. *)
 let with_obs ~trace_out ~metrics f =
@@ -552,8 +563,8 @@ let inject_cmd =
     end;
     with_obs ~trace_out ~metrics (fun sink ->
         let causal = causal_trace <> None in
-        (* the causal artifact captures the pooled stream in memory; the
-           profiler lanes (wall clock, nondeterministic) only join when
+        (* the causal artifact captures the whole pooled stream in memory;
+           the profiler lanes (wall clock, nondeterministic) only join when
            explicitly requested *)
         let capture =
           match causal_trace with
@@ -564,9 +575,9 @@ let inject_cmd =
                 Fortress_prof.Profiler.reset ();
                 Fortress_prof.Profiler.enable ()
               end;
-              let sub, read = Fortress_obs.Sink.memory ~capacity:(1 lsl 20) () in
-              ignore (Fortress_obs.Sink.attach sink sub);
-              Some (path, read)
+              let events = ref [] in
+              ignore (Fortress_obs.Sink.attach sink (fun ~time ev -> events := (time, ev) :: !events));
+              Some (path, fun () -> List.rev !events)
         in
         let config = { Inject.trials; seed; chi; omega; kappa; max_steps = steps; jobs; load;
                        telemetry = timeline; causal } in
@@ -833,15 +844,26 @@ let timeline_cmd =
       Printf.eprintf "fortress-cli: --capacity must be positive (got %d)\n" capacity;
       exit 2
     end;
+    let openmetrics = Option.map output_file openmetrics in
     let registry = Obs.Metrics.create () in
-    let timeline = Obs.Timeline.create ~capacity ~registry ~width () in
+    let timeline = Obs.Timeline.create ~capacity ~width () in
     let sink = Obs.Sink.create () in
     ignore (Obs.Sink.attach sink (Obs.Sink.counting registry));
     ignore (Obs.Sink.attach sink (Obs.Timeline.subscriber timeline));
     let malformed = Obs.Sink.read_file file (Obs.Sink.emit sink) in
     Obs.Timeline.finish timeline;
-    let signals = Obs.Signal.of_timeline ~registry timeline in
-    let retained = List.length (Obs.Timeline.windows timeline) in
+    let signals = Obs.Signal.of_timeline timeline in
+    let windows = Obs.Timeline.windows timeline in
+    (* each retained window's final total, observed once the stream is
+       complete: on a pooled trace later trials land in windows the
+       frontier passed long ago *)
+    let window_events =
+      Obs.Metrics.histogram registry ~lo:0.0 ~hi:16384.0 ~bins:64 "timeline.window_events"
+    in
+    List.iter
+      (fun (w : Obs.Timeline.window) -> Obs.Metrics.observe window_events (float_of_int w.total))
+      windows;
+    let retained = List.length windows in
     Printf.printf "trace %s: %d events in %d windows of %g vt (%d retained, %d late-dropped%s)\n"
       file
       (Obs.Timeline.events_seen timeline)
@@ -849,14 +871,11 @@ let timeline_cmd =
       width retained
       (Obs.Timeline.dropped timeline)
       (if malformed > 0 then Printf.sprintf ", %d malformed lines" malformed else "");
-    (match Obs.Metrics.find_histogram registry "timeline.window_events" with
-    | Some h ->
-        let v = Obs.Metrics.histogram_value h in
-        let pct q =
-          match Obs.Metrics.quantile v q with Some x -> Printf.sprintf "%.4g" x | None -> "-"
-        in
-        Printf.printf "events/window: p50=%s p90=%s p99=%s\n" (pct 0.5) (pct 0.9) (pct 0.99)
-    | None -> ());
+    let v = Obs.Metrics.histogram_value (Obs.Metrics.histogram_data window_events) in
+    let pct q =
+      match Obs.Metrics.quantile v q with Some x -> Printf.sprintf "%.4g" x | None -> "-"
+    in
+    Printf.printf "events/window: p50=%s p90=%s p99=%s\n" (pct 0.5) (pct 0.9) (pct 0.99);
     if not alarms_only then begin
       print_newline ();
       print_table ~csv (Obs.Signal.table ~timeline signals)
@@ -867,21 +886,19 @@ let timeline_cmd =
       Printf.printf "\ndetector alarms (%d):\n" (List.length alarms);
       print_table ~csv (Obs.Signal.alarm_table signals)
     end;
-    (* latest raw signal values, read back through the registry gauges *)
+    (* latest raw signal values; 0 before any window is scored *)
     Printf.printf "final signals:%s\n"
       (String.concat ""
          (List.map
             (fun k ->
               Printf.sprintf " %s=%.4g" (Obs.Signal.short_name k)
-                (Obs.Metrics.find_gauge registry ("signal." ^ Obs.Signal.short_name k)))
+                (match Obs.Signal.latest signals k with Some p -> p.Obs.Signal.raw | None -> 0.0))
             Obs.Signal.all));
-    match openmetrics with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc (Obs.Openmetrics.render ~metrics:registry ~timeline ~signals ());
-        close_out oc;
-        Printf.printf "openmetrics exposition written to %s\n" path
+    Option.iter
+      (fun write ->
+        Printf.printf "openmetrics exposition written to %s\n"
+          (write (Obs.Openmetrics.render ~metrics:registry ~timeline ~signals ())))
+      openmetrics
   in
   let term =
     Term.(const run $ file_arg $ width_arg $ capacity_arg $ openmetrics_arg $ alarms_only_arg
@@ -912,6 +929,7 @@ let trace_cmd =
              ~doc:"Write the OpenMetrics exposition of the latency summaries to $(docv).")
   in
   let run file limit openmetrics csv =
+    let openmetrics = Option.map output_file openmetrics in
     let events = ref [] in
     let malformed = Obs.Sink.read_file file (fun ~time ev -> events := (time, ev) :: !events) in
     let events = List.rev !events in
@@ -927,13 +945,11 @@ let trace_cmd =
     end;
     Printf.printf "\ncritical paths (causal span trees by elapsed virtual time):\n";
     print_table ~csv (Obs.Latency.critical_path_table ~limit events);
-    match openmetrics with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc (Obs.Openmetrics.render ~latency ());
-        close_out oc;
-        Printf.printf "openmetrics exposition written to %s\n" path
+    Option.iter
+      (fun write ->
+        Printf.printf "openmetrics exposition written to %s\n"
+          (write (Obs.Openmetrics.render ~latency ())))
+      openmetrics
   in
   let term = Term.(const run $ file_arg $ limit_arg $ openmetrics_arg $ csv_arg) in
   Cmd.v
@@ -1008,13 +1024,12 @@ let report_cmd =
   let run output full =
     let module Report = Fortress_exp.Report in
     let fidelity = if full then Report.Full else Report.Quick in
+    let output = Option.map output_file output in
     let body = Report.generate ~fidelity () in
     match output with
     | None -> print_string body
-    | Some path ->
-        let oc = open_out path in
-        output_string oc body;
-        close_out oc;
+    | Some write ->
+        let path = write body in
         Printf.printf "report written to %s (%d bytes)\n" path (String.length body)
   in
   let term = Term.(const run $ out_arg $ full_arg) in

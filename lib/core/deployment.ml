@@ -162,8 +162,6 @@ let create cfg =
 
 let config t = t.cfg
 let engine t = t.engine
-let attach_telemetry ?window ?capacity ?alarms ?params t =
-  Engine.attach_telemetry ?window ?capacity ?alarms ?params t.engine
 let network t = t.net
 let nameserver t = t.nameserver
 let record t = t.record

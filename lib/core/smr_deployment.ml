@@ -81,8 +81,6 @@ let create cfg =
   { cfg; engine; net; replicas; instances; addresses; comp = Array.make cfg.n false; daemon = None }
 
 let engine t = t.engine
-let attach_telemetry ?window ?capacity ?alarms ?params t =
-  Engine.attach_telemetry ?window ?capacity ?alarms ?params t.engine
 let network t = t.net
 let replicas t = t.replicas
 let instances t = t.instances

@@ -28,17 +28,6 @@ type t
 val create : config -> t
 val engine : t -> Fortress_sim.Engine.t
 
-val attach_telemetry :
-  ?window:float ->
-  ?capacity:int ->
-  ?alarms:bool ->
-  ?params:(Fortress_obs.Signal.kind -> Fortress_obs.Signal.params) ->
-  t ->
-  Fortress_obs.Timeline.t * Fortress_obs.Signal.t
-(** The telemetry plane over the SMR baseline's event stream — same
-    windows and defender signals as {!Deployment.attach_telemetry}, so S0
-    and S2 signal timelines are directly comparable. *)
-
 val network : t -> Fortress_replication.Smr.msg Fortress_net.Network.t
 (** The deployment's network — exposed so the fault-injection layer can
     install link interceptors and partitions on the SMR stack too. *)

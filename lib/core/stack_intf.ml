@@ -9,7 +9,7 @@
     instead of twice per stack. Each deployment keeps its own
     {!Obfuscation} daemon, which is where the rekey-period knobs act.
 
-    The signature covers the four surfaces an external driver needs:
+    The signature covers the three surfaces an external driver needs:
 
     - {b requests}: [new_client] / [submit] / [client_accepted]. Both
       stacks' clients emit [Request_submitted] / [Request_completed] events
@@ -20,8 +20,9 @@
       immediate rekey/recovery boosts. The actuators are plain calls —
       callers that want causal attribution (e.g. {!Defense_control})
       wrap them in [Engine.causal_scope] themselves.
-    - {b telemetry}: the windowed timeline + defender-signal plane over
-      the stack's event stream. *)
+
+    Telemetry is not a stack surface: the windowed timeline and
+    defender-signal plane attach to [engine stack] directly. *)
 
 module type S = sig
   type t
@@ -32,14 +33,8 @@ module type S = sig
       "smr"). *)
 
   val engine : t -> Fortress_sim.Engine.t
-
-  val attach_telemetry :
-    ?window:float ->
-    ?capacity:int ->
-    ?alarms:bool ->
-    ?params:(Fortress_obs.Signal.kind -> Fortress_obs.Signal.params) ->
-    t ->
-    Fortress_obs.Timeline.t * Fortress_obs.Signal.t
+  (** Its sink carries the stack's event stream; telemetry attaches there
+      with {!Fortress_sim.Engine.attach_telemetry}. *)
 
   val symptoms : t -> Symptom.t list
   (** The externally observable symptom surface; pure read (no PRNG, no

@@ -81,7 +81,7 @@ val launch :
 (** Arm the boundary loop: every [period] the controller observes,
     decides, and applies staged directives. The [signal] should be
     attached with alarms {e not} re-emitted onto the sink
-    ([attach_telemetry ~alarms:false]) so attaching a controller that
+    ([Engine.attach_telemetry ~alarms:false]) so attaching a controller that
     never acts leaves the trace byte-identical. *)
 
 val stage : t -> Defense_directive.t -> unit

@@ -44,7 +44,6 @@ module Fortress = struct
 
   let name = "fortress"
   let engine = Deployment.engine
-  let attach_telemetry = Deployment.attach_telemetry
   let symptoms = Deployment.symptoms
   let obfuscation d = daemon "Fortress" (Deployment.obfuscation d)
   let rekey_period d = Obfuscation.period (obfuscation d)
@@ -85,7 +84,6 @@ module Smr = struct
 
   let name = "smr"
   let engine = Smr_deployment.engine
-  let attach_telemetry = Smr_deployment.attach_telemetry
   let symptoms = Smr_deployment.symptoms
   let obfuscation d = daemon "Smr" (Smr_deployment.obfuscation d)
   let rekey_period d = Obfuscation.period (obfuscation d)

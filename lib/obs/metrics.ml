@@ -2,7 +2,6 @@ module Histo = Fortress_util.Histogram
 module Table = Fortress_util.Table
 
 type counter = { mutable c_value : int }
-type gauge = { mutable g_value : float }
 
 type histogram = {
   h_log : bool;
@@ -12,13 +11,13 @@ type histogram = {
   mutable h_data : Histo.t;
 }
 
-type metric = C of counter | G of gauge | H of histogram
+type metric = C of counter | H of histogram
 
 type t = { tbl : (string, metric) Hashtbl.t }
 
 let create () = { tbl = Hashtbl.create 32 }
 
-let kind_name = function C _ -> "counter" | G _ -> "gauge" | H _ -> "histogram"
+let kind_name = function C _ -> "counter" | H _ -> "histogram"
 
 let register t name make match_existing =
   match Hashtbl.find_opt t.tbl name with
@@ -40,13 +39,6 @@ let counter t name =
       (c, C c))
     (function C c -> Some c | _ -> None)
 
-let gauge t name =
-  register t name
-    (fun () ->
-      let g = { g_value = 0.0 } in
-      (g, G g))
-    (function G g -> Some g | _ -> None)
-
 let make_histo ~log_scale ~lo ~hi ~bins =
   if log_scale then Histo.create_log ~lo ~hi ~bins else Histo.create_linear ~lo ~hi ~bins
 
@@ -66,25 +58,16 @@ let histogram t ?(log_scale = false) ~lo ~hi ~bins name =
     (function H h -> Some h | _ -> None)
 
 let incr ?(by = 1) c = c.c_value <- c.c_value + by
-let set g v = g.g_value <- v
 let observe h x = Histo.add h.h_data x
 
 let counter_value c = c.c_value
-let gauge_value g = g.g_value
 let histogram_data h = h.h_data
 
 let find_counter t name =
   match Hashtbl.find_opt t.tbl name with Some (C c) -> c.c_value | _ -> 0
 
-let find_gauge t name =
-  match Hashtbl.find_opt t.tbl name with Some (G g) -> g.g_value | _ -> 0.0
-
-let find_histogram t name =
-  match Hashtbl.find_opt t.tbl name with Some (H h) -> Some h.h_data | _ -> None
-
 type value =
   | Counter of int
-  | Gauge of float
   | Histogram of {
       count : int;
       underflow : int;
@@ -114,7 +97,6 @@ let snapshot t =
       let v =
         match m with
         | C c -> Counter c.c_value
-        | G g -> Gauge g.g_value
         | H h -> histogram_value h.h_data
       in
       (name, v) :: acc)
@@ -123,7 +105,7 @@ let snapshot t =
 
 let quantile v q =
   match v with
-  | Counter _ | Gauge _ -> None
+  | Counter _ -> None
   | Histogram { count; underflow; buckets; _ } ->
       if count = 0 then None
       else begin
@@ -149,7 +131,6 @@ let reset t =
     (fun _ m ->
       match m with
       | C c -> c.c_value <- 0
-      | G g -> g.g_value <- 0.0
       | H h -> h.h_data <- make_histo ~log_scale:h.h_log ~lo:h.h_lo ~hi:h.h_hi ~bins:h.h_bins)
     t.tbl
 
@@ -162,7 +143,6 @@ let to_table t =
       let kind, rendered =
         match v with
         | Counter n -> ("counter", string_of_int n)
-        | Gauge x -> ("gauge", Printf.sprintf "%.6g" x)
         | Histogram { count; underflow; overflow; sum; _ } ->
             let pct q = match quantile v q with Some x -> Printf.sprintf "%.4g" x | None -> "-" in
             ( "histogram",

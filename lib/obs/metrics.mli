@@ -1,4 +1,4 @@
-(** Metrics registry: named counters, gauges and fixed-bucket histograms.
+(** Metrics registry: named counters and fixed-bucket histograms.
 
     Handles are obtained once (registering the metric on first lookup) and
     then updated through field mutation only, so [incr] and [observe] on a
@@ -8,7 +8,6 @@
 type t
 
 type counter
-type gauge
 type histogram
 
 val create : unit -> t
@@ -19,7 +18,6 @@ val create : unit -> t
     already exists with a different metric kind raises [Invalid_argument]. *)
 
 val counter : t -> string -> counter
-val gauge : t -> string -> gauge
 
 val histogram :
   t -> ?log_scale:bool -> lo:float -> hi:float -> bins:int -> string -> histogram
@@ -29,29 +27,18 @@ val histogram :
 (** {2 Hot-path updates} *)
 
 val incr : ?by:int -> counter -> unit
-val set : gauge -> float -> unit
 val observe : histogram -> float -> unit
 
 (** {2 Reads} *)
 
 val counter_value : counter -> int
-val gauge_value : gauge -> float
 val histogram_data : histogram -> Fortress_util.Histogram.t
 
 val find_counter : t -> string -> int
 (** Value of the named counter, or 0 when it was never registered. *)
 
-val find_gauge : t -> string -> float
-(** Value of the named gauge, or 0.0 when it was never registered. *)
-
-val find_histogram : t -> string -> Fortress_util.Histogram.t option
-(** Live data of the named histogram, or [None] when it was never
-    registered. The returned histogram is the registry's own — treat it
-    as read-only. *)
-
 type value =
   | Counter of int
-  | Gauge of float
   | Histogram of {
       count : int;  (** total observations, including under/overflow *)
       underflow : int;
@@ -67,16 +54,16 @@ val snapshot : t -> (string * value) list
 
 val histogram_value : Fortress_util.Histogram.t -> value
 (** The [Histogram] {!value} of live histogram data — what {!snapshot}
-    records for it; pairs with {!find_histogram} and {!quantile}. *)
+    records for it; pairs with {!histogram_data} and {!quantile}. *)
 
 val quantile : value -> float -> float option
 (** [quantile v q] interpolates the [q]-quantile ([0..1]) from a
-    [Histogram] value's bucket counts; [None] for counters, gauges and
-    empty histograms. Mass in the under/overflow counters clamps to the
+    [Histogram] value's bucket counts; [None] for counters and empty
+    histograms. Mass in the under/overflow counters clamps to the
     outermost finite bucket edges. *)
 
 val reset : t -> unit
-(** Zero every counter and gauge and empty every histogram; registrations
+(** Zero every counter and empty every histogram; registrations
     (and handles already held) survive. *)
 
 val to_table : t -> Fortress_util.Table.t

@@ -37,21 +37,13 @@ let metric buf ~typ name lines =
   Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name typ);
   List.iter (fun l -> Buffer.add_string buf (l ^ "\n")) lines
 
-let starts_with ~p s = String.length s >= String.length p && String.sub s 0 (String.length p) = p
-
-let metrics_section buf ~prefix ~skip_signals registry =
+let metrics_section buf ~prefix registry =
   List.iter
     (fun (name, v) ->
-      (* the signals section renders richer labelled families for the
-         "signal.*" registry entries; emitting both would duplicate the
-         fortress_signal_alarms_total family, which OpenMetrics forbids *)
-      if skip_signals && starts_with ~p:"signal." name then ()
-      else
       let base = prefix ^ "_" ^ sanitize name in
       match v with
-      | Metrics.Counter n -> metric buf ~typ:"counter" (base ^ "_total")
-            [ Printf.sprintf "%s_total %d" base n ]
-      | Metrics.Gauge x -> metric buf ~typ:"gauge" base [ Printf.sprintf "%s %s" base (num x) ]
+      | Metrics.Counter n ->
+          metric buf ~typ:"counter" (base ^ "_total") [ Printf.sprintf "%s_total %d" base n ]
       | Metrics.Histogram { count; underflow; sum; buckets; _ } ->
           (* cumulative counts; mass below the first edge (underflow) is
              inside every bucket, the +Inf bucket is the total count *)
@@ -153,7 +145,7 @@ let latency_section buf ~prefix lat =
 let render ?(prefix = "fortress") ?metrics ?timeline ?signals ?latency () =
   let prefix = sanitize prefix in
   let buf = Buffer.create 1024 in
-  Option.iter (metrics_section buf ~prefix ~skip_signals:(signals <> None)) metrics;
+  Option.iter (metrics_section buf ~prefix) metrics;
   Option.iter (timeline_section buf ~prefix) timeline;
   Option.iter (signals_section buf ~prefix) signals;
   Option.iter (latency_section buf ~prefix) latency;

@@ -1,7 +1,7 @@
 (** OpenMetrics / Prometheus text exposition.
 
-    Renders a {!Metrics} snapshot (counters as [_total] series, gauges
-    verbatim, histograms as cumulative [_bucket{le="..."}] / [_sum] /
+    Renders a {!Metrics} snapshot (counters as [_total] series,
+    histograms as cumulative [_bucket{le="..."}] / [_sum] /
     [_count] families using the per-bucket counts carried by
     {!Metrics.value}) plus, optionally, the final state of a
     {!Timeline} (window/event totals and per-key lifetime counters) and a

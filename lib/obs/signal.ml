@@ -38,7 +38,8 @@ type params = {
   adaptive_ref : bool;
 }
 
-let default_params = function
+(* constants, tuned for the canonical 100-vt step width *)
+let params_of = function
   | Invalid_probe_rate | Blocked_source_rate | Crash_burst ->
       (* rates are per unit virtual time: one extra event per canonical
          100-vt step is +0.01, so slack forgives one stray event per
@@ -61,7 +62,6 @@ type point = {
 
 type state = {
   st_params : params;
-  st_gauge : Metrics.gauge option;
   mutable st_have : bool;
   mutable st_ewma : float;
   mutable st_cusum : float;
@@ -71,21 +71,18 @@ type state = {
 type t = {
   sg_width : float;
   emit : (time:float -> Event.t -> unit) option;
-  alarm_counter : Metrics.counter option;
   states : (kind * state) list;
   mutable last_boundary : int option;
   mutable alarms_rev : (kind * point) list;
 }
 
-let make ?(params = default_params) ?emit ?registry ~width () =
+let make ?emit timeline =
   let states =
     List.map
       (fun k ->
-        let gauge = Option.map (fun r -> Metrics.gauge r ("signal." ^ short_name k)) registry in
         ( k,
           {
-            st_params = params k;
-            st_gauge = gauge;
+            st_params = params_of k;
             st_have = false;
             st_ewma = 0.0;
             st_cusum = 0.0;
@@ -93,8 +90,7 @@ let make ?(params = default_params) ?emit ?registry ~width () =
           } ))
       all
   in
-  let alarm_counter = Option.map (fun r -> Metrics.counter r "signal.alarms") registry in
-  { sg_width = width; emit; alarm_counter; states; last_boundary = None; alarms_rev = [] }
+  { sg_width = Timeline.width timeline; emit; states; last_boundary = None; alarms_rev = [] }
 
 let raw_rate w key width = float_of_int (Timeline.count w key) /. width
 
@@ -126,7 +122,6 @@ let process_window t (w : Timeline.window) =
         (if st.st_have then (p.ewma_alpha *. raw) +. ((1.0 -. p.ewma_alpha) *. st.st_ewma)
          else raw);
       st.st_have <- true;
-      Option.iter (fun g -> Metrics.set g raw) st.st_gauge;
       let point =
         {
           window = w.Timeline.index;
@@ -141,7 +136,6 @@ let process_window t (w : Timeline.window) =
       st.st_points_rev <- point :: st.st_points_rev;
       if alarm then begin
         t.alarms_rev <- (kind, point) :: t.alarms_rev;
-        Option.iter (fun c -> Metrics.incr c) t.alarm_counter;
         Option.iter
           (fun emit ->
             emit ~time:w.Timeline.t_hi
@@ -156,13 +150,13 @@ let process_window t (w : Timeline.window) =
       end)
     t.states
 
-let create ?params ?emit timeline =
-  let t = make ?params ?emit ~width:(Timeline.width timeline) () in
+let create ?emit timeline =
+  let t = make ?emit timeline in
   Timeline.on_window timeline (process_window t);
   t
 
-let of_timeline ?params ?emit ?registry timeline =
-  let t = make ?params ?emit ?registry ~width:(Timeline.width timeline) () in
+let of_timeline ?emit timeline =
+  let t = make ?emit timeline in
   List.iter (process_window t) (Timeline.windows timeline);
   t
 
@@ -170,7 +164,6 @@ let state t kind = List.assoc kind t.states
 let series t kind = List.rev (state t kind).st_points_rev
 let latest t kind = match (state t kind).st_points_rev with [] -> None | p :: _ -> Some p
 let alarms t = List.rev t.alarms_rev
-let params t kind = (state t kind).st_params
 
 (* ---- rendering ---- *)
 

@@ -16,9 +16,11 @@
 
     The CUSUM statistic is [s_t = max 0 (s_(t-1) + raw - ref - slack)]
     with an alarm (and reset) once [s_t > threshold]; [ref] is the
-    pre-update EWMA for the rate signals and 0 for staleness. The fold is
-    deterministic, so identical timelines give identical series — the
-    jobs-1-vs-4 contract extends to every alarm. *)
+    pre-update EWMA for the rate signals and 0 for staleness. The EWMA
+    weight, slack and threshold are constants tuned for the canonical
+    100-vt step width (DESIGN.md §11). The fold is deterministic, so
+    identical timelines give identical series — the jobs-1-vs-4 contract
+    extends to every alarm. *)
 
 type kind = Invalid_probe_rate | Blocked_source_rate | Crash_burst | Rekey_staleness
 
@@ -28,17 +30,7 @@ val kind_name : kind -> string
 (** e.g. ["invalid-probe-rate"] — stable, used in alarm events. *)
 
 val short_name : kind -> string
-(** e.g. ["invalid"] — column header / gauge suffix. *)
-
-type params = {
-  ewma_alpha : float;  (** smoothing weight on the newest window *)
-  cusum_slack : float;  (** per-window deviation forgiven before accumulating *)
-  cusum_threshold : float;  (** alarm once the statistic exceeds this *)
-  adaptive_ref : bool;  (** reference = pre-update EWMA (true) or 0 (false) *)
-}
-
-val default_params : kind -> params
-(** Tuned for the canonical 100-vt step width; see DESIGN.md §11. *)
+(** e.g. ["invalid"] — column header and ["final signals"] key. *)
 
 type point = {
   window : int;
@@ -52,26 +44,19 @@ type point = {
 
 type t
 
-val create : ?params:(kind -> params) -> ?emit:(time:float -> Event.t -> unit) -> Timeline.t -> t
+val create : ?emit:(time:float -> Event.t -> unit) -> Timeline.t -> t
 (** Streaming mode: registers a {!Timeline.on_window} hook so every
     window is scored as it closes. [emit] (typically
     [Sink.emit sink] partially applied) publishes each alarm as a
     [Note {label = "signal.alarm"; _}] at the window's closing edge, so
     alarms land on the same trace as fault-plan actions. *)
 
-val of_timeline :
-  ?params:(kind -> params) ->
-  ?emit:(time:float -> Event.t -> unit) ->
-  ?registry:Metrics.t ->
-  Timeline.t ->
-  t
+val of_timeline : ?emit:(time:float -> Event.t -> unit) -> Timeline.t -> t
 (** Batch mode: score the timeline's currently retained windows in index
     order. Use this for pooled/non-monotone streams (inject runs, trace
     files) where close hooks do not fire once per window. With [emit],
     alarms are appended to the trace as the fold runs — after the pooled
-    stream, in window order. [registry] (when given) keeps a
-    ["signal.<short_name>"] gauge per signal at the latest raw value and a
-    ["signal.alarms"] counter. *)
+    stream, in window order. *)
 
 (** {2 Typed query API} *)
 
@@ -81,8 +66,6 @@ val series : t -> kind -> point list
 val latest : t -> kind -> point option
 val alarms : t -> (kind * point) list
 (** Every alarm in the order it fired. *)
-
-val params : t -> kind -> params
 
 (** {2 Rendering} *)
 

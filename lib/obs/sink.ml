@@ -27,23 +27,20 @@ let forward downstream ~time ev = emit downstream ~time ev
 (* ---- stock subscribers ---- *)
 
 let counting metrics =
-  (* cache handles so the steady state is one Hashtbl lookup per event *)
-  let by_label = Hashtbl.create 16 in
-  let counter_for name =
-    match Hashtbl.find_opt by_label name with
-    | Some c -> c
+  (* a counter registers at its first event, so the registry lists only
+     keys seen; fixed keys then cost an array read per event *)
+  let handles = Array.map (fun key -> lazy (Metrics.counter metrics key)) Counts.keys in
+  let fixed i = Metrics.incr (Lazy.force handles.(i)) in
+  let notes = Hashtbl.create 8 in
+  let note key =
+    match Hashtbl.find_opt notes key with
+    | Some c -> Metrics.incr c
     | None ->
-        let c = Metrics.counter metrics name in
-        Hashtbl.replace by_label name c;
-        c
+        let c = Metrics.counter metrics key in
+        Hashtbl.replace notes key c;
+        Metrics.incr c
   in
-  fun ~time:_ ev ->
-    Metrics.incr (counter_for ("events." ^ Event.label ev));
-    match ev with
-    | Event.Probe { kind; outcome; _ } ->
-        Metrics.incr (counter_for ("probe." ^ Event.kind_to_string kind));
-        Metrics.incr (counter_for ("probe." ^ Event.outcome_to_string outcome))
-    | _ -> ()
+  fun ~time:_ ev -> Counts.iter ~fixed ~note ev
 
 let memory ?(capacity = 65536) () =
   if capacity <= 0 then invalid_arg "Sink.memory: capacity must be positive";

@@ -31,8 +31,9 @@ val forward : t -> subscriber
 (** {2 Stock subscribers} *)
 
 val counting : Metrics.t -> subscriber
-(** Bumps ["events.<label>"] for every event, plus refined
-    ["probe.<kind>"] / ["probe.<outcome>"] counters for probes. *)
+(** Bumps the registry counter of every {!Counts.iter} key of each event:
+    ["events.<label>"], plus ["probe.<kind>"] / ["probe.<outcome>"] for
+    probes. *)
 
 val memory : ?capacity:int -> unit -> subscriber * (unit -> (float * Event.t) list)
 (** Keeps the most recent [capacity] (default 65536) events; the closure

@@ -33,16 +33,7 @@ type acc = {
   mutable a_malformed : int;
   mutable a_tmin : float;
   mutable a_tmax : float;
-  labels : (string, int ref) Hashtbl.t;
-  mutable a_steps : int;
-  mutable a_rekeys : int;
-  mutable a_recovers : int;
-  mutable a_direct : int;
-  mutable a_indirect : int;
-  mutable a_launchpad : int;
-  mutable a_crashed : int;
-  mutable a_intruded : int;
-  mutable a_blocked : int;
+  counts : Counts.t;  (* per-label, probe kind/outcome and fault-action counts *)
   mutable a_proxy_probes : int;
   mutable a_server_probes : int;
   proxy_targets : (int, unit) Hashtbl.t;
@@ -52,7 +43,6 @@ type acc = {
   mutable a_censored : int;
   mutable a_lifetime_sum : float;
   span_stats : (string, (int * float) ref) Hashtbl.t;
-  fault_actions : (string, int ref) Hashtbl.t;
   alarm_stats : (string, (int * float) ref) Hashtbl.t;  (* count, first time *)
 }
 
@@ -62,16 +52,7 @@ let fresh () =
     a_malformed = 0;
     a_tmin = infinity;
     a_tmax = neg_infinity;
-    labels = Hashtbl.create 16;
-    a_steps = 0;
-    a_rekeys = 0;
-    a_recovers = 0;
-    a_direct = 0;
-    a_indirect = 0;
-    a_launchpad = 0;
-    a_crashed = 0;
-    a_intruded = 0;
-    a_blocked = 0;
+    counts = Counts.create ();
     a_proxy_probes = 0;
     a_server_probes = 0;
     proxy_targets = Hashtbl.create 8;
@@ -81,38 +62,20 @@ let fresh () =
     a_censored = 0;
     a_lifetime_sum = 0.0;
     span_stats = Hashtbl.create 8;
-    fault_actions = Hashtbl.create 8;
     alarm_stats = Hashtbl.create 8;
   }
-
-let bump tbl key =
-  match Hashtbl.find_opt tbl key with
-  | Some r -> incr r
-  | None -> Hashtbl.replace tbl key (ref 1)
 
 let add acc time (ev : Event.t) =
   acc.a_total <- acc.a_total + 1;
   if time < acc.a_tmin then acc.a_tmin <- time;
   if time > acc.a_tmax then acc.a_tmax <- time;
-  bump acc.labels (Event.label ev);
+  Counts.add acc.counts ev;
   match ev with
-  | Event.Probe { kind; tier; target; outcome } ->
-      (match kind with
-      | Event.Direct -> acc.a_direct <- acc.a_direct + 1
-      | Event.Indirect -> acc.a_indirect <- acc.a_indirect + 1
-      | Event.Launchpad -> acc.a_launchpad <- acc.a_launchpad + 1);
-      (match outcome with
-      | Event.Crashed -> acc.a_crashed <- acc.a_crashed + 1
-      | Event.Intruded -> acc.a_intruded <- acc.a_intruded + 1
-      | Event.Blocked -> acc.a_blocked <- acc.a_blocked + 1);
-      (match tier with
-      | Event.Proxy_tier ->
-          acc.a_proxy_probes <- acc.a_proxy_probes + 1;
-          Hashtbl.replace acc.proxy_targets target ()
-      | Event.Server_tier -> acc.a_server_probes <- acc.a_server_probes + 1)
-  | Event.Step _ -> acc.a_steps <- acc.a_steps + 1
-  | Event.Rekey _ -> acc.a_rekeys <- acc.a_rekeys + 1
-  | Event.Recover _ -> acc.a_recovers <- acc.a_recovers + 1
+  | Event.Probe { tier = Event.Proxy_tier; target; _ } ->
+      acc.a_proxy_probes <- acc.a_proxy_probes + 1;
+      Hashtbl.replace acc.proxy_targets target ()
+  | Event.Probe { tier = Event.Server_tier; _ } ->
+      acc.a_server_probes <- acc.a_server_probes + 1
   | Event.Compromise { tier = Event.Proxy_tier; _ } -> acc.a_comp_proxy <- acc.a_comp_proxy + 1
   | Event.Compromise { tier = Event.Server_tier; _ } -> acc.a_comp_server <- acc.a_comp_server + 1
   | Event.Trial { lifetime; _ } ->
@@ -126,7 +89,6 @@ let add acc time (ev : Event.t) =
           let n, d = !r in
           r := (n + 1, d +. duration)
       | None -> Hashtbl.replace acc.span_stats name (ref (1, duration)))
-  | Event.Fault { action; _ } -> bump acc.fault_actions action
   | Event.Note { label = "signal.alarm"; detail } ->
       (* alarm detail leads with the detector kind: "<detector>: raw=..." *)
       let detector =
@@ -142,23 +104,22 @@ let add acc time (ev : Event.t) =
   | _ -> ()
 
 let finalize acc =
+  let fixed = Counts.fixed acc.counts in
   {
     total = acc.a_total;
     malformed = acc.a_malformed;
     t_min = (if acc.a_total = 0 then 0.0 else acc.a_tmin);
     t_max = (if acc.a_total = 0 then 0.0 else acc.a_tmax);
-    by_label =
-      Hashtbl.fold (fun k r l -> (k, !r) :: l) acc.labels []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b);
-    steps = acc.a_steps;
-    rekeys = acc.a_rekeys;
-    recovers = acc.a_recovers;
-    probes_direct = acc.a_direct;
-    probes_indirect = acc.a_indirect;
-    probes_launchpad = acc.a_launchpad;
-    probes_crashed = acc.a_crashed;
-    probes_intruded = acc.a_intruded;
-    probes_blocked = acc.a_blocked;
+    by_label = Counts.with_prefix "events." acc.counts;
+    steps = fixed "events.step";
+    rekeys = fixed "events.rekey";
+    recovers = fixed "events.recover";
+    probes_direct = fixed "probe.direct";
+    probes_indirect = fixed "probe.indirect";
+    probes_launchpad = fixed "probe.launchpad";
+    probes_crashed = fixed "probe.crash";
+    probes_intruded = fixed "probe.intrusion";
+    probes_blocked = fixed "probe.blocked";
     proxy_probes = acc.a_proxy_probes;
     server_probes = acc.a_server_probes;
     proxies_seen = Hashtbl.length acc.proxy_targets;
@@ -170,9 +131,7 @@ let finalize acc =
     spans =
       Hashtbl.fold (fun name r l -> (name, fst !r, snd !r) :: l) acc.span_stats []
       |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b);
-    faults =
-      Hashtbl.fold (fun k r l -> (k, !r) :: l) acc.fault_actions []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b);
+    faults = Counts.with_prefix "fault." acc.counts;
     alarms =
       Hashtbl.fold (fun k r l -> (k, fst !r, snd !r) :: l) acc.alarm_stats []
       |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b);

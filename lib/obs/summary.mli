@@ -3,15 +3,16 @@
     Folds a stream of (time, event) pairs into per-label counts, probe
     breakdowns, span statistics and per-step rates, and can cross-check the
     measured per-step event rates against the paper's analytic laws at an
-    (omega, chi, kappa) operating point. *)
+    (omega, chi, kappa) operating point. The label, probe and fault counts
+    come from one {!Counts} fold, so they agree with {!Sink.counting}. *)
 
 type t = {
   total : int;
   malformed : int;  (** lines that failed to parse (files only) *)
   t_min : float;
   t_max : float;
-  by_label : (string * int) list;  (** sorted by label *)
-  steps : int;  (** campaign step boundaries observed *)
+  by_label : (string * int) list;  (** sorted by label; [Note]s count under their label *)
+  steps : int;  (** campaign step boundaries observed ([Step] events, not [Note]s) *)
   rekeys : int;
   recovers : int;
   probes_direct : int;

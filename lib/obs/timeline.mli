@@ -1,10 +1,10 @@
 (** Fixed-width virtual-time windows over the event plane.
 
     A timeline is a pure observer: attach {!subscriber} to a {!Sink} and
-    it aggregates every event into the window owning its timestamp —
-    per-label counts (mirroring the counter names {!Sink.counting}
-    registers, plus a ["fault.<action>"] refinement), lifetime totals and
-    last-seen times. It keeps its own counts and reads no registry.
+    it aggregates every event into the window owning its timestamp, and
+    into lifetime totals, through {!Counts.add}: the counter keys
+    {!Sink.counting} registers, plus a ["fault.<action>"] refinement. It
+    keeps its own counts and writes no registry.
 
     Windows are kept in a bounded ring ([capacity] most recent indices);
     older windows are evicted and events older than the ring are counted
@@ -26,19 +26,17 @@ type window = {
   counts : (string * int) list;  (** per-key counts, sorted by key *)
 }
 
-val create : ?capacity:int -> ?registry:Metrics.t -> width:float -> unit -> t
-(** [capacity] defaults to 512 retained windows. When [registry] is given
-    the timeline registers a ["timeline.window_events"] histogram there
-    (64 bins over [0, 16384)) and, at {!finish}, observes each retained
-    window's final event total once — late events of a pooled stream
-    included. Raises [Invalid_argument] when [width] or [capacity] is not
-    positive. *)
+val create : ?capacity:int -> width:float -> unit -> t
+(** [capacity] defaults to 512 retained windows. Raises
+    [Invalid_argument] when [width] or [capacity] is not positive. *)
 
 val subscriber : t -> Sink.subscriber
 (** The subscriber to attach; events at negative times clamp to window 0.
     Events labelled ["signal.alarm"] are ignored — the telemetry plane
     never aggregates its own detector output, which also makes emitting
-    alarms back into the watched sink re-entrancy-safe. *)
+    alarms back into the watched sink re-entrancy-safe. Allocates nothing
+    for an event other than a [Note] or a [Fault], unless it opens a
+    window. *)
 
 val on_window : t -> (window -> unit) -> unit
 (** Register a close hook; hooks run in registration order each time the
@@ -46,9 +44,8 @@ val on_window : t -> (window -> unit) -> unit
     on {!finish}). *)
 
 val finish : t -> unit
-(** Close the frontier window, fire its hooks and fill the
-    ["timeline.window_events"] histogram; idempotent. Call when the
-    stream is complete. *)
+(** Close the frontier window and fire its hooks; idempotent. Call when
+    the stream is complete. *)
 
 (** {2 Queries — usable online at any point} *)
 
@@ -70,7 +67,6 @@ val totals : t -> (string * int) list
 (** Lifetime per-key totals, sorted by key — unaffected by eviction. *)
 
 val total : t -> string -> int
-val last_seen : t -> string -> float option
 
 val count : window -> string -> int
 val rate : t -> window -> string -> float

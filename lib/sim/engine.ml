@@ -144,9 +144,9 @@ let rec run ?until t =
 
 let record t ~label detail = emit t (Obs.Event.Note { label; detail })
 
-let attach_telemetry ?(window = 100.0) ?capacity ?(alarms = true) ?params t =
-  let timeline = Obs.Timeline.create ?capacity ~width:window () in
+let attach_telemetry ?(alarms = true) t =
+  let timeline = Obs.Timeline.create ~width:100.0 () in
   ignore (Obs.Sink.attach t.sink (Obs.Timeline.subscriber timeline));
   let emit = if alarms then Some (fun ~time ev -> Obs.Sink.emit t.sink ~time ev) else None in
-  let signals = Obs.Signal.create ?params ?emit timeline in
+  let signals = Obs.Signal.create ?emit timeline in
   (timeline, signals)

@@ -97,20 +97,15 @@ val record : t -> label:string -> string -> unit
 (** Convenience: emit a free-form {!Fortress_obs.Event.Note} at the current
     time. *)
 
-val attach_telemetry :
-  ?window:float ->
-  ?capacity:int ->
-  ?alarms:bool ->
-  ?params:(Fortress_obs.Signal.kind -> Fortress_obs.Signal.params) ->
-  t ->
-  Fortress_obs.Timeline.t * Fortress_obs.Signal.t
+val attach_telemetry : ?alarms:bool -> t -> Fortress_obs.Timeline.t * Fortress_obs.Signal.t
 (** Attach the telemetry plane to this engine's sink: a
-    {!Fortress_obs.Timeline} of [window]-wide virtual-time windows
-    (default 100, the canonical attack step) and a {!Fortress_obs.Signal}
-    scoring the defender signals as each window closes; neither writes a
-    metrics registry. With [alarms] (default true) detector alarms are
-    emitted back onto the sink as ["signal.alarm"] notes, so they
-    interleave with fault-plan actions in any attached trace.
+    {!Fortress_obs.Timeline} of 100-vt windows (the canonical attack
+    step) and a {!Fortress_obs.Signal} scoring the defender signals as
+    each window closes; neither writes a metrics registry. Stacks attach
+    their telemetry here, on [engine stack]. With [alarms] (default true)
+    detector alarms are emitted back onto the sink as ["signal.alarm"]
+    notes, so they interleave with fault-plan actions in any attached
+    trace.
     Entirely subscriber-side: nothing schedules, no PRNG draws, so an
     execution's event stream is unchanged by attaching — only the trace
     gains the alarm notes. *)

@@ -66,7 +66,7 @@ let prop_directive_applies_only_at_boundary =
     (fun (offset, threshold) ->
       let offset = Float.max 0.1 offset in
       let engine = Engine.create () in
-      let _tl, signal = Engine.attach_telemetry ~window:100.0 ~alarms:false engine in
+      let _tl, signal = Engine.attach_telemetry ~alarms:false engine in
       let c =
         Controller.launch ~engine ~signal ~period:100.0
           ~defaults:{ Controller.rekey_period = 100.0; threshold = 50 }
@@ -92,7 +92,7 @@ let prop_directive_applies_only_at_boundary =
 
 let test_staged_directive_merges_last_wins () =
   let engine = Engine.create () in
-  let _tl, signal = Engine.attach_telemetry ~window:100.0 ~alarms:false engine in
+  let _tl, signal = Engine.attach_telemetry ~alarms:false engine in
   let c =
     Controller.launch ~engine ~signal ~period:100.0
       ~defaults:{ Controller.rekey_period = 100.0; threshold = 50 }

@@ -191,7 +191,7 @@ let test_event_labels_and_verbosity () =
 
 (* ---- Metrics ---- *)
 
-let test_metrics_counters_and_gauges () =
+let test_metrics_counters_and_kind_clash () =
   let m = Metrics.create () in
   let c = Metrics.counter m "events.probe" in
   Metrics.incr c;
@@ -201,12 +201,9 @@ let test_metrics_counters_and_gauges () =
     (Metrics.counter_value (Metrics.counter m "events.probe"));
   Alcotest.(check int) "find_counter" 5 (Metrics.find_counter m "events.probe");
   Alcotest.(check int) "absent counter reads 0" 0 (Metrics.find_counter m "nope");
-  let g = Metrics.gauge m "clock" in
-  Metrics.set g 12.5;
-  Alcotest.(check (float 0.0)) "gauge" 12.5 (Metrics.gauge_value g);
   Alcotest.check_raises "kind clash"
     (Invalid_argument "Metrics: \"events.probe\" is already registered as a counter")
-    (fun () -> ignore (Metrics.gauge m "events.probe"))
+    (fun () -> ignore (Metrics.histogram m ~lo:0.0 ~hi:1.0 ~bins:1 "events.probe"))
 
 let test_metrics_histogram_snapshot_reset () =
   let m = Metrics.create () in
@@ -227,37 +224,28 @@ let test_metrics_histogram_snapshot_reset () =
   | _ -> Alcotest.fail "registrations must survive reset");
   Alcotest.(check bool) "renders" true (String.length (Metrics.render m) > 0)
 
-let test_metrics_find_gauge_and_histogram () =
+let test_metrics_histogram_value_and_quantile () =
   let m = Metrics.create () in
-  Alcotest.(check (float 0.0)) "absent gauge reads 0" 0.0 (Metrics.find_gauge m "nope");
-  Alcotest.(check bool) "absent histogram is None" true (Metrics.find_histogram m "nope" = None);
-  let g = Metrics.gauge m "clock" in
-  Metrics.set g 2.5;
-  Alcotest.(check (float 0.0)) "find_gauge" 2.5 (Metrics.find_gauge m "clock");
-  Alcotest.(check (float 0.0)) "find_gauge on a counter name reads 0" 0.0
-    (Metrics.find_gauge m "nope.counter");
   let h = Metrics.histogram m ~lo:0.0 ~hi:10.0 ~bins:5 "h" in
   List.iter (Metrics.observe h) [ 1.0; 3.0; 7.0; 42.0 ];
-  match Metrics.find_histogram m "h" with
-  | None -> Alcotest.fail "registered histogram not found"
-  | Some data -> (
-      Alcotest.(check (float 1e-9)) "Histogram.sum tracks observations" 53.0
-        (Fortress_util.Histogram.sum data);
-      match Metrics.histogram_value data with
-      | Metrics.Histogram { count; overflow; sum; buckets; _ } as v ->
-          Alcotest.(check int) "count includes overflow" 4 count;
-          Alcotest.(check int) "overflow" 1 overflow;
-          Alcotest.(check (float 1e-9)) "value carries sum" 53.0 sum;
-          Alcotest.(check int) "bucket list" 5 (List.length buckets);
-          (* rank 2 lands at the top of the [2,4) bucket *)
-          Alcotest.(check (option (float 1e-9))) "p50 interpolates" (Some 4.0)
-            (Metrics.quantile v 0.5);
-          (* overflow mass clamps to the highest finite edge *)
-          Alcotest.(check (option (float 1e-9))) "p100 clamps overflow" (Some 10.0)
-            (Metrics.quantile v 1.0);
-          Alcotest.(check bool) "counters have no quantile" true
-            (Metrics.quantile (Metrics.Counter 3) 0.5 = None)
-      | _ -> Alcotest.fail "histogram_value did not return a Histogram")
+  let data = Metrics.histogram_data h in
+  Alcotest.(check (float 1e-9)) "Histogram.sum tracks observations" 53.0
+    (Fortress_util.Histogram.sum data);
+  match Metrics.histogram_value data with
+  | Metrics.Histogram { count; overflow; sum; buckets; _ } as v ->
+      Alcotest.(check int) "count includes overflow" 4 count;
+      Alcotest.(check int) "overflow" 1 overflow;
+      Alcotest.(check (float 1e-9)) "value carries sum" 53.0 sum;
+      Alcotest.(check int) "bucket list" 5 (List.length buckets);
+      (* rank 2 lands at the top of the [2,4) bucket *)
+      Alcotest.(check (option (float 1e-9))) "p50 interpolates" (Some 4.0)
+        (Metrics.quantile v 0.5);
+      (* overflow mass clamps to the highest finite edge *)
+      Alcotest.(check (option (float 1e-9))) "p100 clamps overflow" (Some 10.0)
+        (Metrics.quantile v 1.0);
+      Alcotest.(check bool) "counters have no quantile" true
+        (Metrics.quantile (Metrics.Counter 3) 0.5 = None)
+  | _ -> Alcotest.fail "histogram_value did not return a Histogram"
 
 (* ---- Span ---- *)
 
@@ -430,8 +418,8 @@ let contains ~needle hay =
 let probe_ev ?(kind = Event.Direct) ?(outcome = Event.Crashed) () =
   Event.Probe { kind; tier = Event.Proxy_tier; target = 0; outcome }
 
-let watched_timeline ?capacity ?registry ~width () =
-  let tl = Timeline.create ?capacity ?registry ~width () in
+let watched_timeline ?capacity ~width () =
+  let tl = Timeline.create ?capacity ~width () in
   let sink = Sink.create () in
   ignore (Sink.attach sink (Timeline.subscriber tl));
   (tl, sink)
@@ -505,14 +493,12 @@ let test_timeline_hooks_fire_once_in_order () =
   Alcotest.(check (list int)) "finish closes the frontier once" [ 0; 1; 2; 3 ]
     (List.rev !closed)
 
-let test_timeline_registry_attribution () =
-  (* the registry gets the events-per-window histogram, each retained
-     window's final total observed once at finish. Two replayed "trials"
-     each restart at t = 0, so the second one's events land in windows the
-     frontier has already passed; they must still count. *)
-  let reg = Metrics.create () in
-  let tl, sink = watched_timeline ~registry:reg ~width:10.0 () in
-  let window_events () = Option.get (Metrics.find_histogram reg "timeline.window_events") in
+let test_timeline_pooled_replay_totals () =
+  (* Two replayed "trials" each restart at t = 0, so the second one's
+     events land in windows the frontier has already passed; they must
+     still count in their window, which is what the events-per-window
+     histogram of `fortress_cli timeline` reads after finish. *)
+  let tl, sink = watched_timeline ~width:10.0 () in
   let trial ~events_per_window =
     List.iteri
       (fun w n ->
@@ -523,19 +509,16 @@ let test_timeline_registry_attribution () =
   in
   trial ~events_per_window:[ 3; 1 ];
   trial ~events_per_window:[ 5000; 2; 1 ];
-  Alcotest.(check int) "nothing observed before finish" 0
-    (Fortress_util.Histogram.count (window_events ()));
   Timeline.finish tl;
   Timeline.finish tl;
-  Alcotest.(check (list int)) "window totals" [ 5003; 3; 1 ]
-    (List.map (fun w -> w.Timeline.total) (Timeline.windows tl));
-  let data = window_events () in
-  Alcotest.(check int) "one observation per window" 3 (Fortress_util.Histogram.count data);
-  Alcotest.(check (float 0.0)) "sum equals the events seen"
-    (float_of_int (Timeline.events_seen tl))
-    (Fortress_util.Histogram.sum data);
-  Alcotest.(check int) "no window above the top edge" 0
-    (Fortress_util.Histogram.overflow data)
+  let totals = List.map (fun w -> w.Timeline.total) (Timeline.windows tl) in
+  Alcotest.(check (list int)) "window totals" [ 5003; 3; 1 ] totals;
+  Alcotest.(check int) "window totals sum to the events seen" (Timeline.events_seen tl)
+    (List.fold_left ( + ) 0 totals);
+  Alcotest.(check int) "late events in the lifetime total" 5007 (Timeline.total tl "events.rekey");
+  Alcotest.(check (list (pair string int))) "per-key window counts"
+    [ ("events.rekey", 5003) ]
+    (List.hd (Timeline.windows tl)).Timeline.counts
 
 let test_timeline_ignores_signal_alarms () =
   let tl, sink = watched_timeline ~width:10.0 () in
@@ -546,16 +529,21 @@ let test_timeline_ignores_signal_alarms () =
   Alcotest.(check int) "not counted" 0 (Timeline.total tl "events.signal.alarm")
 
 let prop_timeline_counts_match_counting =
-  (* the per-window counts, summed, must equal the terminal Sink.counting
-     counters on the same stream — the keys mirror each other exactly *)
+  (* Sink.counting, Timeline and Summary count one stream through one key
+     table, so they agree: the per-window counts sum to the terminal
+     counters, and Summary's labels and probe fields read the same counts.
+     Notes labelled like a constructor count under its key, but not in
+     Summary's typed fields; the timeline alone is blind to signal.alarm. *)
   QCheck.Test.make ~count:60 ~name:"window counts sum to terminal counters"
-    QCheck.(list_of_size Gen.(int_range 0 150) (pair (float_bound_inclusive 5000.0) (int_bound 5)))
+    QCheck.(list_of_size Gen.(int_range 0 150) (pair (float_bound_inclusive 5000.0) (int_bound 9)))
     (fun events ->
       let reg = Metrics.create () in
       let tl = Timeline.create ~width:10.0 () in
       let sink = Sink.create () in
+      let seen = ref [] in
       ignore (Sink.attach sink (Timeline.subscriber tl));
       ignore (Sink.attach sink (Sink.counting reg));
+      ignore (Sink.attach sink (fun ~time ev -> seen := (time, ev) :: !seen));
       (* anchor the ring at window 0 so no out-of-order event can be
          dropped: indices stay below the default capacity *)
       Sink.emit sink ~time:0.0 (Event.Step { n = 0 });
@@ -568,21 +556,50 @@ let prop_timeline_counts_match_counting =
             | 2 -> Event.Rekey { nodes = 3 }
             | 3 -> Event.Invalid_observed { proxy = 0 }
             | 4 -> Event.Source_blocked { proxy = 0; source = 1 }
-            | _ -> Event.Fault { action = "crash"; target = "s"; detail = "" }
+            | 5 -> Event.Fault { action = "crash"; target = "s"; detail = "" }
+            | 6 -> Event.Fault { action = "drop"; target = "l"; detail = "" }
+            | 7 -> Event.Note { label = "step"; detail = "" }
+            | 8 -> Event.Note { label = "probe"; detail = "" }
+            | _ -> Event.Note { label = "signal.alarm"; detail = "crash-burst: raw=1" }
           in
           Sink.emit sink ~time ev)
         events;
       Timeline.finish tl;
+      let s = Summary.of_events (List.rev !seen) in
       let windows = Timeline.windows tl in
       let summed key =
         List.fold_left (fun acc w -> acc + Timeline.count w key) 0 windows
       in
+      let counter = Metrics.find_counter reg in
+      let drawn k = List.length (List.filter (fun (_, w) -> w = k) events) in
+      let labels =
+        List.filter_map
+          (fun (name, v) ->
+            match v with
+            | Metrics.Counter n when String.starts_with ~prefix:"events." name ->
+                Some (String.sub name 7 (String.length name - 7), n)
+            | _ -> None)
+          (Metrics.snapshot reg)
+      in
       List.for_all
         (fun (name, v) ->
           match v with
+          | Metrics.Counter n when name = "events.signal.alarm" ->
+              n = drawn 9 && summed name = 0 && Timeline.total tl name = 0
           | Metrics.Counter n -> summed name = n && Timeline.total tl name = n
           | _ -> true)
-        (Metrics.snapshot reg))
+        (Metrics.snapshot reg)
+      && s.Summary.by_label = labels
+      && s.Summary.steps = counter "events.step" - drawn 7
+      && s.Summary.probes_direct = counter "probe.direct"
+      && s.Summary.probes_indirect = counter "probe.indirect"
+      && s.Summary.probes_launchpad = counter "probe.launchpad"
+      && s.Summary.probes_crashed = counter "probe.crash"
+      && s.Summary.probes_intruded = counter "probe.intrusion"
+      && s.Summary.probes_blocked = counter "probe.blocked"
+      && s.Summary.rekeys = counter "events.rekey"
+      && List.for_all (fun (action, n) -> Timeline.total tl ("fault." ^ action) = n) s.Summary.faults
+      && List.fold_left (fun acc (_, n) -> acc + n) 0 s.Summary.faults = counter "events.fault")
 
 (* ---- Signal ---- *)
 
@@ -703,19 +720,20 @@ let test_signal_table_renders () =
 
 let test_engine_attach_telemetry () =
   let e = Engine.create () in
-  let tl, sg = Engine.attach_telemetry ~window:10.0 e in
+  let tl, sg = Engine.attach_telemetry e in
   ignore
     (Engine.schedule e ~delay:1.0 (fun () -> Engine.emit e (Event.Rekey { nodes = 2 })));
   ignore
-    (Engine.schedule e ~delay:25.0 (fun () ->
+    (Engine.schedule e ~delay:250.0 (fun () ->
          Engine.emit e (Event.Invalid_observed { proxy = 0 })));
   Engine.run e;
   Timeline.finish tl;
+  Alcotest.(check (float 0.0)) "canonical 100-vt windows" 100.0 (Timeline.width tl);
   Alcotest.(check int) "timeline saw the rekey" 1 (Timeline.total tl "events.rekey");
   Alcotest.(check int) "three windows" 3 (List.length (Timeline.windows tl));
   Alcotest.(check int) "one signal point per window" 3
     (List.length (Signal.series sg Signal.Invalid_probe_rate));
-  Alcotest.(check (option (float 1e-9))) "staleness scored as windows close" (Some 20.0)
+  Alcotest.(check (option (float 1e-9))) "staleness scored as windows close" (Some 200.0)
     (Option.map (fun p -> p.Signal.raw) (Signal.latest sg Signal.Rekey_staleness))
 
 (* ---- OpenMetrics ---- *)
@@ -723,7 +741,6 @@ let test_engine_attach_telemetry () =
 let test_openmetrics_exposition () =
   let reg = Metrics.create () in
   Metrics.incr ~by:3 (Metrics.counter reg "events.rekey");
-  Metrics.set (Metrics.gauge reg "clock") 12.5;
   let h = Metrics.histogram reg ~lo:0.0 ~hi:10.0 ~bins:5 "lat" in
   List.iter (Metrics.observe h) [ 1.0; 3.0; 7.0; 42.0 ];
   let tl = Timeline.create ~width:100.0 () in
@@ -731,7 +748,7 @@ let test_openmetrics_exposition () =
   ignore (Sink.attach sink (Timeline.subscriber tl));
   feed_spec_stream sink [ (2, true); (1, false) ];
   Timeline.finish tl;
-  let sg = Signal.of_timeline ~registry:reg tl in
+  let sg = Signal.of_timeline tl in
   let text = Openmetrics.render ~metrics:reg ~timeline:tl ~signals:sg () in
   Alcotest.(check bool) "terminated" true (String.ends_with ~suffix:"# EOF\n" text);
   List.iter
@@ -739,7 +756,6 @@ let test_openmetrics_exposition () =
       Alcotest.(check bool) ("contains " ^ needle) true (contains ~needle text))
     [
       "fortress_events_rekey_total 3";
-      "fortress_clock 12.5";
       "fortress_lat_bucket{le=\"+Inf\"} 4";
       "fortress_lat_sum 53";
       "fortress_lat_count 4";
@@ -762,8 +778,8 @@ let test_openmetrics_exposition () =
   in
   Alcotest.(check bool) "buckets cumulative" true
     (List.sort compare bucket_counts = bucket_counts);
-  (* exactly one family per name: the registry's signal.* entries are
-     superseded by the labelled signal section *)
+  (* exactly one family per name across the registry, timeline and signal
+     sections *)
   let type_lines =
     List.filter (String.starts_with ~prefix:"# TYPE") (String.split_on_char '\n' text)
   in
@@ -1157,11 +1173,12 @@ let () =
         ] );
       ( "metrics",
         [
-          Alcotest.test_case "counters and gauges" `Quick test_metrics_counters_and_gauges;
+          Alcotest.test_case "counters and kind clash" `Quick
+            test_metrics_counters_and_kind_clash;
           Alcotest.test_case "histogram, snapshot, reset" `Quick
             test_metrics_histogram_snapshot_reset;
-          Alcotest.test_case "find_gauge, find_histogram, quantile" `Quick
-            test_metrics_find_gauge_and_histogram;
+          Alcotest.test_case "histogram value and quantile" `Quick
+            test_metrics_histogram_value_and_quantile;
         ] );
       ( "timeline",
         [
@@ -1171,7 +1188,8 @@ let () =
           Alcotest.test_case "gap compression" `Quick test_timeline_gap_compression;
           Alcotest.test_case "close hooks fire once in order" `Quick
             test_timeline_hooks_fire_once_in_order;
-          Alcotest.test_case "registry attribution" `Quick test_timeline_registry_attribution;
+          Alcotest.test_case "pooled replay window totals" `Quick
+            test_timeline_pooled_replay_totals;
           Alcotest.test_case "ignores signal alarms" `Quick test_timeline_ignores_signal_alarms;
           QCheck_alcotest.to_alcotest prop_timeline_counts_match_counting;
         ] );
