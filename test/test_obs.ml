@@ -520,6 +520,28 @@ let test_timeline_pooled_replay_totals () =
     [ ("events.rekey", 5003) ]
     (List.hd (Timeline.windows tl)).Timeline.counts
 
+let test_timeline_subscriber_allocates_nothing () =
+  (* fixed-key events cost array bumps only, also when they hop back to an
+     earlier retained window; pairs are built up front so the loop itself
+     allocates nothing *)
+  let tl = Timeline.create ~width:10.0 () in
+  let sub = Timeline.subscriber tl in
+  let evs =
+    [| probe_ev (); Event.Rekey { nodes = 1 }; Event.Msg_delivered { src = 0; dst = 1 };
+       Event.Span_finished { id = 1; parent = None; name = "s"; start_time = 0.0;
+                             duration = 1.0; attrs = [] } |]
+  in
+  let pairs = Array.init 64 (fun i -> (float_of_int (i * 7 mod 50), evs.(i mod 4))) in
+  Array.iter (fun (time, ev) -> sub ~time ev) pairs;
+  let before = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    let time, ev = pairs.(i land 63) in
+    sub ~time ev
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.0)) "minor words" 0.0 words;
+  Alcotest.(check int) "all counted" 10_064 (Timeline.events_seen tl)
+
 let test_timeline_ignores_signal_alarms () =
   let tl, sink = watched_timeline ~width:10.0 () in
   Sink.emit sink ~time:1.0 (Event.Note { label = "signal.alarm"; detail = "x" });
@@ -1191,6 +1213,8 @@ let () =
           Alcotest.test_case "pooled replay window totals" `Quick
             test_timeline_pooled_replay_totals;
           Alcotest.test_case "ignores signal alarms" `Quick test_timeline_ignores_signal_alarms;
+          Alcotest.test_case "subscriber allocates nothing" `Quick
+            test_timeline_subscriber_allocates_nothing;
           QCheck_alcotest.to_alcotest prop_timeline_counts_match_counting;
         ] );
       ( "signal",
