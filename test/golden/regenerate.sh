@@ -14,8 +14,9 @@
 # its trace (`timeline` at two widths, one of them evicting and dropping,
 # `trace`, `obs`), plus the `Sink.counting` table of `simulate --metrics`.
 # The readers run inside DIR on fixed relative names, so no printed path
-# depends on DIR; the JSONL trace and the Perfetto artifact are too large
-# to commit and are deleted afterwards.
+# depends on DIR. The JSONL trace (`--trace-out`) and the Perfetto artifact
+# (`--causal-trace`) are too large to commit: obs-artifacts.cksum pins one
+# `cksum` line for each, and both are deleted afterwards.
 set -e
 cli=$(pwd)/_build/default/bin/fortress_cli.exe
 dir=${1:-test/golden}
@@ -34,6 +35,7 @@ mkdir -p "$dir"
   "$cli" timeline obs.jsonl --width 37 --capacity 8 > obs-timeline-evict.txt
   "$cli" trace obs.jsonl --openmetrics obs-latency.om > obs-trace.txt
   "$cli" obs obs.jsonl > obs-summary.txt
+  cksum obs.jsonl obs-causal.json > obs-artifacts.cksum
   rm obs.jsonl obs-causal.json
 )
 "$cli" simulate --attack-omega 8 --chi 256 --metrics --trace 25 > "$dir/obs-simulate-metrics.txt"
