@@ -121,80 +121,74 @@ let verbosity = function
   | Failover _ | Repl _ | Trial _ | Directive _ | Note _ ->
       `Info
 
-let to_json ev =
-  let tag fields = Json.Obj (("event", Json.Str (label ev)) :: fields) in
-  match ev with
+(* ---- the trace line: write renders it, of_json reads it back ---- *)
+
+let key buf k = Buffer.add_string buf ",\""; Buffer.add_string buf k; Buffer.add_string buf "\":"
+let str buf k v = key buf k; Json.add_string buf v
+let int buf k n = key buf k; Json.add_int buf n
+let num buf k x = key buf k; Json.add_num buf x
+let null buf k = key buf k; Buffer.add_string buf "null"
+
+let rec attrs buf sep = function
+  | [] -> ()
+  | (k, v) :: rest ->
+      if sep then Buffer.add_char buf ',';
+      Json.add_string buf k; Buffer.add_char buf ':'; Json.add_string buf v;
+      attrs buf true rest
+
+(* the text of the last non-integral time written: consecutive events
+   often share a time, and its %.12g is the dearest part of a line *)
+type memo = { mutable last : float; mutable text : string }
+
+let write_with memo buf ~time ev =
+  Buffer.add_string buf "{\"t\":";
+  if Float.is_integer time then Json.add_num buf time
+  else if time = memo.last then Buffer.add_string buf memo.text
+  else begin
+    let start = Buffer.length buf in
+    Json.add_num buf time;
+    memo.last <- time;
+    memo.text <- Buffer.sub buf start (Buffer.length buf - start)
+  end;
+  Buffer.add_string buf ",\"event\":";
+  Json.add_string buf (label ev);
+  (match ev with
   | Probe { kind; tier; target; outcome } ->
-      tag
-        [
-          ("kind", Json.Str (kind_to_string kind));
-          ("tier", Json.Str (tier_to_string tier));
-          ("target", Json.Num (float_of_int target));
-          ("outcome", Json.Str (outcome_to_string outcome));
-        ]
-  | Compromise { tier; index } ->
-      tag [ ("tier", Json.Str (tier_to_string tier)); ("index", Json.Num (float_of_int index)) ]
-  | Rekey { nodes } -> tag [ ("nodes", Json.Num (float_of_int nodes)) ]
-  | Recover { nodes } -> tag [ ("nodes", Json.Num (float_of_int nodes)) ]
-  | Step { n } -> tag [ ("n", Json.Num (float_of_int n)) ]
-  | Invalid_observed { proxy } -> tag [ ("proxy", Json.Num (float_of_int proxy)) ]
-  | Source_blocked { proxy; source } ->
-      tag [ ("proxy", Json.Num (float_of_int proxy)); ("source", Json.Num (float_of_int source)) ]
-  | Source_rotated { burned } -> tag [ ("burned", Json.Num (float_of_int burned)) ]
-  | Request_submitted { id } -> tag [ ("id", Json.Str id) ]
+      str buf "kind" (kind_to_string kind); str buf "tier" (tier_to_string tier);
+      int buf "target" target; str buf "outcome" (outcome_to_string outcome)
+  | Compromise { tier; index } -> str buf "tier" (tier_to_string tier); int buf "index" index
+  | Rekey { nodes } | Recover { nodes } -> int buf "nodes" nodes
+  | Step { n } -> int buf "n" n
+  | Invalid_observed { proxy } -> int buf "proxy" proxy
+  | Source_blocked { proxy; source } -> int buf "proxy" proxy; int buf "source" source
+  | Source_rotated { burned } -> int buf "burned" burned
+  | Request_submitted { id } | Reply_rejected { id } -> str buf "id" id
   | Request_completed { id; accepted } ->
-      tag [ ("id", Json.Str id); ("accepted", Json.Bool accepted) ]
-  | Reply_rejected { id } -> tag [ ("id", Json.Str id) ]
-  | Msg_delivered { src; dst } ->
-      tag [ ("src", Json.Num (float_of_int src)); ("dst", Json.Num (float_of_int dst)) ]
+      str buf "id" id; key buf "accepted"; Buffer.add_string buf (string_of_bool accepted)
+  | Msg_delivered { src; dst } -> int buf "src" src; int buf "dst" dst
   | Msg_dropped { src; dst; reason } ->
-      tag
-        [
-          ("src", Json.Num (float_of_int src));
-          ("dst", Json.Num (float_of_int dst));
-          ("reason", Json.Str reason);
-        ]
+      int buf "src" src; int buf "dst" dst; str buf "reason" reason
   | Failover { proto; replica; view } ->
-      tag
-        [
-          ("proto", Json.Str proto);
-          ("replica", Json.Num (float_of_int replica));
-          ("view", Json.Num (float_of_int view));
-        ]
+      str buf "proto" proto; int buf "replica" replica; int buf "view" view
   | Repl { proto; kind; detail } ->
-      tag [ ("proto", Json.Str proto); ("kind", Json.Str kind); ("detail", Json.Str detail) ]
-  | Trial { index; seed; lifetime } ->
-      tag
-        [
-          ("index", Json.Num (float_of_int index));
-          ("seed", Json.Num (float_of_int seed));
-          ("lifetime", match lifetime with Some l -> Json.Num l | None -> Json.Null);
-        ]
-  | Span_finished { id; parent; name; start_time; duration; attrs } ->
-      tag
-        [
-          ("id", Json.Num (float_of_int id));
-          ("parent", match parent with Some p -> Json.Num (float_of_int p) | None -> Json.Null);
-          ("name", Json.Str name);
-          ("start", Json.Num start_time);
-          ("duration", Json.Num duration);
-          ("attrs", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) attrs));
-        ]
+      str buf "proto" proto; str buf "kind" kind; str buf "detail" detail
+  | Trial { index; seed; lifetime } -> (
+      int buf "index" index; int buf "seed" seed;
+      match lifetime with Some l -> num buf "lifetime" l | None -> null buf "lifetime")
+  | Span_finished { id; parent; name; start_time; duration; attrs = a } ->
+      int buf "id" id;
+      (match parent with Some p -> int buf "parent" p | None -> null buf "parent");
+      str buf "name" name; num buf "start" start_time; num buf "duration" duration;
+      key buf "attrs"; Buffer.add_char buf '{'; attrs buf false a; Buffer.add_char buf '}'
   | Fault { action; target; detail } ->
-      tag
-        [
-          ("action", Json.Str action);
-          ("target", Json.Str target);
-          ("detail", Json.Str detail);
-        ]
+      str buf "action" action; str buf "target" target; str buf "detail" detail
   | Directive { step; strategy; detail } ->
-      tag
-        [
-          ("step", Json.Num (float_of_int step));
-          ("strategy", Json.Str strategy);
-          ("detail", Json.Str detail);
-        ]
-  | Note { label; detail } -> Json.Obj [ ("event", Json.Str label); ("detail", Json.Str detail) ]
+      int buf "step" step; str buf "strategy" strategy; str buf "detail" detail
+  | Note { detail; _ } -> str buf "detail" detail);
+  Buffer.add_char buf '}'
+
+let write buf ~time ev = write_with { last = Float.nan; text = "" } buf ~time ev
+let writer () = write_with { last = Float.nan; text = "" }
 
 let of_json json =
   let ( let* ) = Result.bind in

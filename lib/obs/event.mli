@@ -70,9 +70,16 @@ val verbosity : t -> [ `Info | `Debug ]
     request); [`Info] events are the rarer state changes that
     {!Sink.tail} keeps. *)
 
-val to_json : t -> Json.t
-(** An object whose ["event"] field is {!label}; {!of_json} inverts it. *)
+val write : Buffer.t -> time:float -> t -> unit
+(** [write buf ~time ev] appends the trace line of [ev], without newline:
+    [{"t":<time>,"event":"<label>",<fields>}] in {!Json}'s rules. It is the
+    line's one writer and builds no {!Json.t}. *)
+
+val writer : unit -> Buffer.t -> time:float -> t -> unit
+(** A {!write} that formats a non-integral time once while consecutive
+    events repeat it; each writer owns that memory, so domains share none. *)
 
 val of_json : Json.t -> (t, string) result
+(** Reads the object {!write} renders (the ["t"] member is ignored). *)
 
 val pp : Format.formatter -> t -> unit

@@ -8,41 +8,69 @@ type t =
 
 (* ---- emitter ---- *)
 
-let add_escaped buf s =
+(* One escaping rule and one number rule, for the tree and Event.write. Fast
+   paths keep the general case's bytes: a string with nothing to escape is
+   copied whole (String.exists would allocate a closure), and an integral
+   number below 1e15 is written as digits. *)
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+let rec plain s i =
+  i = String.length s || ((not (needs_escape (String.unsafe_get s i))) && plain s (i + 1))
+
+let add_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  if plain s 0 then Buffer.add_string buf s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
   Buffer.add_char buf '"'
 
-let add_num buf x =
+(* the primitive behind Printf's %g: the same bytes, no format to interpret *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+let rec add_num buf x =
   if Float.is_integer x && Float.abs x < 1e15 then
-    Buffer.add_string buf (Printf.sprintf "%.0f" x)
+    (* "%.0f" wrote -0.0 as "-0"; any other such value is an exact int *)
+    if Float.sign_bit x && x = 0.0 then Buffer.add_string buf "-0" else add_int buf (int_of_float x)
   else if Float.is_nan x || Float.abs x = Float.infinity then
     (* JSON has no NaN/inf; null is the least-surprising degradation *)
     Buffer.add_string buf "null"
-  else Buffer.add_string buf (Printf.sprintf "%.12g" x)
+  else Buffer.add_string buf (format_float "%.12g" x)
 
-let rec add buf = function
+and add_int buf n =
+  if n > -1_000_000_000_000_000 && n < 1_000_000_000_000_000 then begin
+    if n < 0 then Buffer.add_char buf '-';
+    add_digits buf (abs n)
+  end
+  else add_num buf (float_of_int n)
+
+(* [spill] runs after each element of a list or object, where a streaming
+   writer hands the buffer to its channel *)
+let rec add ~spill buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Num x -> add_num buf x
-  | Str s -> add_escaped buf s
+  | Str s -> add_string buf s
   | List items ->
       Buffer.add_char buf '[';
       List.iteri
         (fun i item ->
           if i > 0 then Buffer.add_char buf ',';
-          add buf item)
+          add ~spill buf item;
+          spill buf)
         items;
       Buffer.add_char buf ']'
   | Obj fields ->
@@ -50,16 +78,22 @@ let rec add buf = function
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char buf ',';
-          add_escaped buf k;
-          Buffer.add_char buf ':';
-          add buf v)
+          add_string buf k; Buffer.add_char buf ':';
+          add ~spill buf v;
+          spill buf)
         fields;
       Buffer.add_char buf '}'
 
 let to_string v =
   let buf = Buffer.create 256 in
-  add buf v;
+  add ~spill:ignore buf v;
   Buffer.contents buf
+
+let output oc v =
+  let buf = Buffer.create 65536 in
+  let spill b = if Buffer.length b >= 65536 then (Buffer.output_buffer oc b; Buffer.clear b) in
+  add ~spill buf v;
+  Buffer.output_buffer oc buf
 
 (* ---- parser ---- *)
 

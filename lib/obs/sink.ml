@@ -77,20 +77,26 @@ let tail ~lines =
   (sub, render)
 
 let line ~time ev =
-  match Event.to_json ev with
-  | Json.Obj fields -> Json.to_string (Json.Obj (("t", Json.Num time) :: fields))
-  | other -> Json.to_string other
+  let buf = Buffer.create 128 in
+  Event.write buf ~time ev;
+  Buffer.contents buf
 
-let jsonl write ~time ev = write (line ~time ev)
-
-let jsonl_channel oc ~time ev =
-  output_string oc (line ~time ev);
-  output_char oc '\n'
+(* a subscriber's own writer: one reused buffer, holding the last line *)
+let renderer () =
+  let buf = Buffer.create 256 and write = Event.writer () in
+  fun ~time ev -> Buffer.clear buf; write buf ~time ev; buf
 
 let file path =
   let oc = open_out path in
+  let render = renderer () in
   let closed = ref false in
-  let sub ~time ev = if not !closed then jsonl_channel oc ~time ev in
+  let sub ~time ev =
+    if not !closed then begin
+      let buf = render ~time ev in
+      Buffer.add_char buf '\n';
+      Buffer.output_buffer oc buf
+    end
+  in
   let close () =
     if not !closed then begin
       closed := true;
@@ -101,27 +107,36 @@ let file path =
   (sub, close)
 
 (* FNV-1a 64-bit, kept here (not in crypto) so determinism checks need no
-   extra deps. *)
+   extra deps; the loop keeps its state unboxed and allocates nothing *)
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
-let fnv_feed h s =
-  let acc = ref h in
-  String.iter
-    (fun c -> acc := Int64.mul (Int64.logxor !acc (Int64.of_int (Char.code c))) fnv_prime)
-    s;
-  Int64.mul (Int64.logxor !acc 0x0AL) fnv_prime (* trailing '\n' *)
+let fnv_feed h bytes len =
+  let h = ref h in
+  for i = 0 to len - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get bytes i)))) fnv_prime
+  done;
+  Int64.mul (Int64.logxor !h 0x0AL) fnv_prime (* trailing '\n' *)
 
 let fnv_hex h = Printf.sprintf "%016Lx" h
 
 let digesting () =
   (* FNV-1a over the JSONL rendering of every event, newline included, so
-     the digest equals a hash of the equivalent trace file. *)
-  let h = ref fnv_offset in
-  let sub ~time ev = h := fnv_feed !h (line ~time ev) in
+     the digest equals a hash of the equivalent trace file; the loop reads
+     the line from one reused byte array *)
+  let h = ref fnv_offset and render = renderer () and bytes = ref (Bytes.create 256) in
+  let sub ~time ev =
+    let buf = render ~time ev in
+    let len = Buffer.length buf in
+    if len > Bytes.length !bytes then bytes := Bytes.create (2 * len);
+    Buffer.blit buf 0 !bytes 0 len;
+    h := fnv_feed !h !bytes len
+  in
   (sub, fun () -> fnv_hex !h)
 
-let digest_lines lines = fnv_hex (List.fold_left fnv_feed fnv_offset lines)
+let digest_lines lines =
+  let feed h s = fnv_feed h (Bytes.unsafe_of_string s) (String.length s) in
+  fnv_hex (List.fold_left feed fnv_offset lines)
 
 let buffered ?(capacity = 64) () =
   if capacity <= 0 then invalid_arg "Sink.buffered: capacity must be positive";

@@ -4,7 +4,8 @@
     attached subscriber sees every event. Stock subscribers cover the
     standard consumers: a counting subscriber feeding a {!Metrics.t}
     registry, a bounded in-memory collector and its human-readable tail,
-    and a JSONL writer whose lines {!parse_line} inverts. A fresh sink has
+    a JSONL file writer whose lines {!parse_line} inverts, and a digest of
+    those lines. A fresh sink has
     no subscriber: each consumer attaches its own. *)
 
 type t
@@ -45,24 +46,17 @@ val tail : lines:int -> subscriber * (unit -> string)
     newline-terminated ["[%10.4f] %-18s %s"] line (time, {!Event.label},
     {!Event.detail}) each. Raises [Invalid_argument] when [lines <= 0]. *)
 
-val jsonl : (string -> unit) -> subscriber
-(** Renders each event as one JSON line (no trailing newline) and hands it
-    to the writer. *)
-
-val jsonl_channel : out_channel -> subscriber
-(** [jsonl] wired to an [out_channel], newline-terminated. *)
-
 val file : string -> subscriber * (unit -> unit)
 (** [file path] opens (truncating) a JSONL trace file and returns the
-    writing subscriber with its teardown closure, which flushes and closes
-    the file. Closing twice is a no-op; events arriving after close are
-    dropped rather than written to a dead descriptor. *)
+    subscriber that writes each event's {!line}, newline-terminated, with
+    its teardown closure, which flushes and closes the file. Closing twice
+    is a no-op; events arriving after close are dropped. *)
 
 val digesting : unit -> subscriber * (unit -> string)
-(** Streaming FNV-1a 64-bit digest of the newline-terminated JSONL
-    rendering of every event seen. The closure returns the current digest
-    as 16 lowercase hex digits; two runs are trace-identical iff their
-    digests match. *)
+(** Streaming FNV-1a 64-bit digest of the newline-terminated {!line} of
+    every event seen, hashed from a reused buffer. The closure returns the
+    current digest as 16 lowercase hex digits; two runs are trace-identical
+    iff their digests match. *)
 
 val digest_lines : string list -> string
 (** FNV-1a 64-bit digest of the given strings, each newline-terminated —
@@ -78,16 +72,16 @@ val buffered : ?capacity:int -> unit -> subscriber * (t -> unit)
     event (initial size [capacity], default 64, doubling as needed), so
     an attached-but-silent recorder is almost free and a busy one
     allocates O(log events) arrays instead of a cons cell per event.
-    Sinks themselves are not
-    thread-safe; parallel workers each write to their own buffered
-    subscriber and the join replays the buffers in deterministic trial
-    order, which is how a shared [--trace-out] stream stays byte-identical
-    across job counts. *)
+    Sinks themselves are not thread-safe; parallel workers each write to
+    their own buffered subscriber and the join replays the buffers in
+    deterministic trial order, which is how a shared [--trace-out] stream
+    stays byte-identical across job counts. *)
 
 (** {2 JSONL codec} *)
 
 val line : time:float -> Event.t -> string
-(** [{"t": <time>, "event": ..., ...}] — one trace line. *)
+(** [{"t":<time>,"event":...,...}] — one trace line, as {!Event.write}
+    renders it; {!parse_line} reads it back. *)
 
 val parse_line : string -> (float * Event.t, string) result
 

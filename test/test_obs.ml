@@ -158,8 +158,8 @@ let all_events =
 let test_event_json_roundtrip () =
   List.iter
     (fun ev ->
-      match Event.of_json (Event.to_json ev) with
-      | Ok ev' ->
+      match Sink.parse_line (Sink.line ~time:0.0 ev) with
+      | Ok (_, ev') ->
           Alcotest.(check bool)
             (Printf.sprintf "round-trips %s" (Event.label ev))
             true (ev = ev')
@@ -299,7 +299,7 @@ let test_sink_subscribers_and_detach () =
 let test_sink_jsonl_roundtrip () =
   let lines = ref [] in
   let sink = Sink.create () in
-  ignore (Sink.attach sink (Sink.jsonl (fun l -> lines := l :: !lines)));
+  ignore (Sink.attach sink (fun ~time ev -> lines := Sink.line ~time ev :: !lines));
   List.iteri (fun i ev -> Sink.emit sink ~time:(float_of_int i) ev) all_events;
   let parsed = List.rev_map Sink.parse_line !lines in
   Alcotest.(check int) "all lines parse" (List.length all_events) (List.length parsed);
@@ -352,6 +352,263 @@ let test_sink_line_deterministic_roundtrip () =
             rendered
             (Sink.line ~time:time' ev'))
     all_events
+
+(* The renderer Event.write replaced, kept as the reference: the event's
+   Json.t tree with "t" prepended, printed by the emitter of that time (a
+   per-byte escape and Printf for every number). *)
+module Reference = struct
+  let add_escaped buf s =
+    Buffer.add_char buf '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.add_char buf '"'
+
+  let add_num buf x =
+    if Float.is_integer x && Float.abs x < 1e15 then
+      Buffer.add_string buf (Printf.sprintf "%.0f" x)
+    else if Float.is_nan x || Float.abs x = Float.infinity then Buffer.add_string buf "null"
+    else Buffer.add_string buf (Printf.sprintf "%.12g" x)
+
+  let rec add buf = function
+    | Json.Null -> Buffer.add_string buf "null"
+    | Json.Bool b -> Buffer.add_string buf (if b then "true" else "false")
+    | Json.Num x -> add_num buf x
+    | Json.Str s -> add_escaped buf s
+    | Json.List items ->
+        Buffer.add_char buf '[';
+        List.iteri
+          (fun i item ->
+            if i > 0 then Buffer.add_char buf ',';
+            add buf item)
+          items;
+        Buffer.add_char buf ']'
+    | Json.Obj fields ->
+        Buffer.add_char buf '{';
+        List.iteri
+          (fun i (k, v) ->
+            if i > 0 then Buffer.add_char buf ',';
+            add_escaped buf k;
+            Buffer.add_char buf ':';
+            add buf v)
+          fields;
+        Buffer.add_char buf '}'
+
+  let to_string v =
+    let buf = Buffer.create 256 in
+    add buf v;
+    Buffer.contents buf
+
+  let to_json ev =
+    let tag fields = Json.Obj (("event", Json.Str (Event.label ev)) :: fields) in
+    let int n = Json.Num (float_of_int n) in
+    match ev with
+    | Event.Probe { kind; tier; target; outcome } ->
+        tag
+          [
+            ("kind", Json.Str (Event.kind_to_string kind));
+            ("tier", Json.Str (Event.tier_to_string tier));
+            ("target", int target);
+            ("outcome", Json.Str (Event.outcome_to_string outcome));
+          ]
+    | Event.Compromise { tier; index } ->
+        tag [ ("tier", Json.Str (Event.tier_to_string tier)); ("index", int index) ]
+    | Event.Rekey { nodes } -> tag [ ("nodes", int nodes) ]
+    | Event.Recover { nodes } -> tag [ ("nodes", int nodes) ]
+    | Event.Step { n } -> tag [ ("n", int n) ]
+    | Event.Invalid_observed { proxy } -> tag [ ("proxy", int proxy) ]
+    | Event.Source_blocked { proxy; source } -> tag [ ("proxy", int proxy); ("source", int source) ]
+    | Event.Source_rotated { burned } -> tag [ ("burned", int burned) ]
+    | Event.Request_submitted { id } -> tag [ ("id", Json.Str id) ]
+    | Event.Request_completed { id; accepted } ->
+        tag [ ("id", Json.Str id); ("accepted", Json.Bool accepted) ]
+    | Event.Reply_rejected { id } -> tag [ ("id", Json.Str id) ]
+    | Event.Msg_delivered { src; dst } -> tag [ ("src", int src); ("dst", int dst) ]
+    | Event.Msg_dropped { src; dst; reason } ->
+        tag [ ("src", int src); ("dst", int dst); ("reason", Json.Str reason) ]
+    | Event.Failover { proto; replica; view } ->
+        tag [ ("proto", Json.Str proto); ("replica", int replica); ("view", int view) ]
+    | Event.Repl { proto; kind; detail } ->
+        tag [ ("proto", Json.Str proto); ("kind", Json.Str kind); ("detail", Json.Str detail) ]
+    | Event.Trial { index; seed; lifetime } ->
+        tag
+          [
+            ("index", int index);
+            ("seed", int seed);
+            ("lifetime", match lifetime with Some l -> Json.Num l | None -> Json.Null);
+          ]
+    | Event.Span_finished { id; parent; name; start_time; duration; attrs } ->
+        tag
+          [
+            ("id", int id);
+            ("parent", match parent with Some p -> int p | None -> Json.Null);
+            ("name", Json.Str name);
+            ("start", Json.Num start_time);
+            ("duration", Json.Num duration);
+            ("attrs", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) attrs));
+          ]
+    | Event.Fault { action; target; detail } ->
+        tag
+          [ ("action", Json.Str action); ("target", Json.Str target); ("detail", Json.Str detail) ]
+    | Event.Directive { step; strategy; detail } ->
+        tag [ ("step", int step); ("strategy", Json.Str strategy); ("detail", Json.Str detail) ]
+    | Event.Note { label; detail } ->
+        Json.Obj [ ("event", Json.Str label); ("detail", Json.Str detail) ]
+
+  let tree ~time ev =
+    match to_json ev with
+    | Json.Obj fields -> Json.Obj (("t", Json.Num time) :: fields)
+    | other -> other
+
+  let line ~time ev = to_string (tree ~time ev)
+end
+
+(* Generators that reach every fast path of the writer: strings with and
+   without bytes to escape, Note labels equal to constructor labels,
+   integral floats on both sides of 1e15 (and -0.0), non-integral and
+   non-finite floats, ints on both sides of 10^15 and min_int. *)
+let gen_text =
+  QCheck.Gen.(
+    map (String.concat "")
+      (list_size (int_bound 5)
+         (oneofl
+            [ "\""; "\\"; "\n"; "\r"; "\t"; "\x00"; "\x01"; "\x1f"; "\x7f"; "\xc3\xa9";
+              "\xf0\x9f\x98\x80"; "/"; "a"; "node 3"; "" ])))
+
+let gen_float =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl
+          [ -0.0; 0.0; 0.5; 1.0 /. 3.0; 1e-7; 1e15 -. 1.0; 1e15; -1e15; 1e21; Float.nan;
+            Float.infinity; Float.neg_infinity; 123456789012.5; -2.5 ];
+        map float_of_int (int_range (-1000) 1000);
+        float;
+      ])
+
+let gen_int =
+  let e15 = 1_000_000_000_000_000 in
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl [ 0; 1; -1; e15 - 1; -(e15 - 1); e15; -e15; max_int; min_int ];
+        small_signed_int;
+        int;
+      ])
+
+let gen_event =
+  let open QCheck.Gen in
+  let tier = oneofl [ Event.Proxy_tier; Event.Server_tier ] in
+  let label =
+    oneof [ oneofl [ "probe"; "step"; "rekey"; "span"; "trial"; "fault"; "daemon" ]; gen_text ]
+  in
+  oneof
+    [
+      (let+ kind = oneofl [ Event.Direct; Event.Indirect; Event.Launchpad ]
+       and+ tier = tier
+       and+ target = gen_int
+       and+ outcome = oneofl [ Event.Crashed; Event.Intruded; Event.Blocked ] in
+       Event.Probe { kind; tier; target; outcome });
+      map2 (fun tier index -> Event.Compromise { tier; index }) tier gen_int;
+      map (fun nodes -> Event.Rekey { nodes }) gen_int;
+      map (fun nodes -> Event.Recover { nodes }) gen_int;
+      map (fun n -> Event.Step { n }) gen_int;
+      map (fun proxy -> Event.Invalid_observed { proxy }) gen_int;
+      map2 (fun proxy source -> Event.Source_blocked { proxy; source }) gen_int gen_int;
+      map (fun burned -> Event.Source_rotated { burned }) gen_int;
+      map (fun id -> Event.Request_submitted { id }) gen_text;
+      map2 (fun id accepted -> Event.Request_completed { id; accepted }) gen_text bool;
+      map (fun id -> Event.Reply_rejected { id }) gen_text;
+      map2 (fun src dst -> Event.Msg_delivered { src; dst }) gen_int gen_int;
+      map3 (fun src dst reason -> Event.Msg_dropped { src; dst; reason }) gen_int gen_int gen_text;
+      map3 (fun proto replica view -> Event.Failover { proto; replica; view }) gen_text gen_int
+        gen_int;
+      map3 (fun proto kind detail -> Event.Repl { proto; kind; detail }) gen_text gen_text gen_text;
+      map3 (fun index seed lifetime -> Event.Trial { index; seed; lifetime }) gen_int gen_int
+        (opt gen_float);
+      (let+ id = gen_int
+       and+ parent = opt gen_int
+       and+ name = gen_text
+       and+ start_time = gen_float
+       and+ duration = gen_float
+       and+ attrs = list_size (int_bound 3) (pair gen_text gen_text) in
+       Event.Span_finished { id; parent; name; start_time; duration; attrs });
+      map3 (fun action target detail -> Event.Fault { action; target; detail }) gen_text gen_text
+        gen_text;
+      map3 (fun step strategy detail -> Event.Directive { step; strategy; detail }) gen_int
+        gen_text gen_text;
+      map2 (fun label detail -> Event.Note { label; detail }) label gen_text;
+    ]
+
+let print_timed (time, ev) = Reference.line ~time ev
+
+let prop_line_matches_reference =
+  QCheck.Test.make ~count:2000 ~name:"Sink.line equals the reference renderer"
+    (QCheck.make ~print:print_timed QCheck.Gen.(pair gen_float gen_event))
+    (fun (time, ev) ->
+      let expected = Reference.line ~time ev in
+      (* both writers: Event.write, and Json's tree emitter on the same tree *)
+      Sink.line ~time ev = expected && Json.to_string (Reference.tree ~time ev) = expected)
+
+let prop_digesting_matches_lines =
+  (* consecutive events often share a time, which the writer's memory
+     skips formatting: draw repeats, including -0.0 after 0.0 *)
+  let gen_stream =
+    QCheck.Gen.(
+      map
+        (fun draws ->
+          let _, rev =
+            List.fold_left
+              (fun (prev, acc) (repeat, time, ev) ->
+                let time = if repeat then prev else time in
+                (time, (time, ev) :: acc))
+              (0.0, []) draws
+          in
+          List.rev rev)
+        (list_size (int_bound 60) (triple bool gen_float gen_event)))
+  in
+  QCheck.Test.make ~count:300 ~name:"Sink.digesting equals digest_lines of its lines"
+    (QCheck.make ~print:QCheck.Print.(list print_timed) gen_stream)
+    (fun stream ->
+      let sub, digest = Sink.digesting () in
+      List.iter (fun (time, ev) -> sub ~time ev) stream;
+      digest () = Sink.digest_lines (List.map (fun (time, ev) -> Reference.line ~time ev) stream))
+
+let test_sink_digesting_allocation () =
+  (* the digest renders into a reused buffer and hashes in an unboxed loop;
+     a non-integral time is formatted once while events repeat it. Pairs
+     are built up front, so the loop itself allocates only what the
+     subscriber does. *)
+  let sub, digest = Sink.digesting () in
+  let evs =
+    [| Event.Msg_delivered { src = 3; dst = 7 };
+       Event.Fault { action = "drop"; target = "link 3->7"; detail = "" };
+       Event.Probe
+         { kind = Event.Direct; tier = Event.Proxy_tier; target = 2; outcome = Event.Crashed } |]
+  in
+  let pairs =
+    Array.init 10_000 (fun i ->
+        let step = float_of_int (i / 3) in
+        ((if i mod 3 = 0 then step else step +. 0.375), evs.(i mod 3)))
+  in
+  let before = Gc.minor_words () in
+  Array.iter (fun (time, ev) -> sub ~time ev) pairs;
+  let words = (Gc.minor_words () -. before) /. 10_000.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per event <= 24" words)
+    true (words <= 24.0);
+  Alcotest.(check string) "digest of the same lines"
+    (Sink.digest_lines (Array.to_list (Array.map (fun (time, ev) -> Sink.line ~time ev) pairs)))
+    (digest ())
 
 let test_sink_file_flushes_and_closes () =
   let path = Filename.temp_file "fortress-sink" ".jsonl" in
@@ -1245,6 +1502,9 @@ let () =
           Alcotest.test_case "line deterministic round-trip" `Quick
             test_sink_line_deterministic_roundtrip;
           Alcotest.test_case "file flushes and closes" `Quick test_sink_file_flushes_and_closes;
+          Alcotest.test_case "digesting allocation" `Quick test_sink_digesting_allocation;
+          QCheck_alcotest.to_alcotest prop_line_matches_reference;
+          QCheck_alcotest.to_alcotest prop_digesting_matches_lines;
         ] );
       ( "engine",
         [
