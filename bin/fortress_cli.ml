@@ -563,9 +563,9 @@ let inject_cmd =
     end;
     with_obs ~trace_out ~metrics (fun sink ->
         let causal = causal_trace <> None in
-        (* the causal artifact captures the whole pooled stream in memory;
-           the profiler lanes (wall clock, nondeterministic) only join when
-           explicitly requested *)
+        (* the causal artifact captures, in memory, the pooled stream's
+           events that Trace_export.make reads; the profiler lanes (wall
+           clock, nondeterministic) only join when explicitly requested *)
         let capture =
           match causal_trace with
           | None -> None
@@ -576,7 +576,9 @@ let inject_cmd =
                 Fortress_prof.Profiler.enable ()
               end;
               let events = ref [] in
-              ignore (Fortress_obs.Sink.attach sink (fun ~time ev -> events := (time, ev) :: !events));
+              ignore
+                (Fortress_obs.Sink.attach sink (fun ~time ev ->
+                     if Fortress_prof.Trace_export.keeps ev then events := (time, ev) :: !events));
               Some (path, fun () -> List.rev !events)
         in
         let config = { Inject.trials; seed; chi; omega; kappa; max_steps = steps; jobs; load;

@@ -88,6 +88,10 @@ let flow ~phase ~tid ~ts ~id =
 let sim_pid = 1
 let prof_pid = 2
 
+let keeps = function
+  | Event.Span_finished _ -> true
+  | ev -> Event.verbosity ev = `Info
+
 let make ?(scale = default_scale) ?(samples = []) events =
   let sim_lanes = lanes_create () in
   let prof_lanes = lanes_create () in
@@ -168,5 +172,5 @@ let write ~path json =
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      output_string oc (Json.to_string json);
+      Json.output oc json;
       output_char oc '\n')

@@ -29,6 +29,10 @@ val make :
     seconds, scaled to microseconds). Lane ids are assigned in first-seen
     order, so the same stream always yields the same document. *)
 
+val keeps : Fortress_obs.Event.t -> bool
+(** The events {!make} reads: finished spans and [`Info] milestones. A
+    capture that keeps only these yields the same document. *)
+
 val write : path:string -> Fortress_obs.Json.t -> unit
-(** Serialize to [path] (trailing newline), closing the file even on
-    error. *)
+(** Stream the document to [path] through {!Fortress_obs.Json.output}
+    (trailing newline), closing the file even on error. *)

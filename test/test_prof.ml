@@ -328,6 +328,34 @@ let test_trace_export_no_flows_without_causal_spans () =
   Alcotest.(check int) "orphan deliver draws no arrow" 0
     (List.length (flows_of (Trace_export.make orphan)))
 
+let test_trace_export_keeps_and_streams () =
+  (* a capture of only the kept events renders the same document, and the
+     streamed file holds the same bytes as the one-string rendering, across
+     many of write's buffer spills *)
+  let events =
+    List.concat
+      (List.init 2000 (fun i ->
+           let t = float_of_int i in
+           [
+             (t, Event.Msg_delivered { src = i mod 5; dst = 0 });
+             span ~id:(i + 1) ~name:"proxy.handle" ~start:t ~dur:0.5
+               ~attrs:[ ("node", "proxy-" ^ string_of_int (i mod 3)) ] ();
+             (t, Event.Fault { action = (if i mod 2 = 0 then "drop" else "crash");
+                               target = "link"; detail = "" });
+           ]))
+  in
+  let doc = Trace_export.make events in
+  let kept = List.filter (fun (_, ev) -> Trace_export.keeps ev) events in
+  Alcotest.(check int) "messages and link faults dropped" 3000 (List.length kept);
+  Alcotest.(check string) "same document from the kept events" (Json.to_string doc)
+    (Json.to_string (Trace_export.make kept));
+  let path = Filename.temp_file "fortress-trace" ".json" in
+  Trace_export.write ~path doc;
+  let written = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  Alcotest.(check bool) "spans several buffers" true (String.length written > 200_000);
+  Alcotest.(check string) "streamed bytes" (Json.to_string doc ^ "\n") written
+
 (* ---- trial integration ---- *)
 
 let const_sampler steps _prng = Some steps
@@ -395,6 +423,8 @@ let () =
             test_trace_export_flow_arrows;
           Alcotest.test_case "no flows without causal spans" `Quick
             test_trace_export_no_flows_without_causal_spans;
+          Alcotest.test_case "capture filter and streamed write" `Quick
+            test_trace_export_keeps_and_streams;
         ] );
       ( "trial",
         [
