@@ -19,7 +19,7 @@ val to_string : t -> string
     decimal point so counters stay readable. *)
 
 val output : out_channel -> t -> unit
-(** [output oc v] writes [to_string v] through a bounded buffer. *)
+(** [output oc v] writes [to_string v], emptying its buffer between elements. *)
 
 (** {2 Emitter rules} The one escaping rule and one number rule of every
     rendering, for writers that build no tree. *)

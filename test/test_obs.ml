@@ -560,8 +560,8 @@ let prop_line_matches_reference =
       Sink.line ~time ev = expected && Json.to_string (Reference.tree ~time ev) = expected)
 
 let prop_digesting_matches_lines =
-  (* consecutive events often share a time, which the writer's memory
-     skips formatting: draw repeats, including -0.0 after 0.0 *)
+  (* consecutive events often share a time, whose text the writer's memory
+     reuses: draw repeats, and distinct times such as -0.0 after 0.0 *)
   let gen_stream =
     QCheck.Gen.(
       map
