@@ -76,16 +76,25 @@ type t = {
   slots : int array;
   table : (string, int ref) Hashtbl.t;
   count : Event.t -> unit;  (* [iter] over these two, built once *)
+  mutable faults : (string * int ref) list;  (* action -> its "fault.<action>" cell *)
 }
 
 let create () =
   let slots = Array.make (Array.length keys) 0 and table = Hashtbl.create 8 in
   let count = iter ~fixed:(fun i -> slots.(i) <- slots.(i) + 1) ~note:(bump table) in
-  { slots; table; count }
+  { slots; table; count; faults = [] }
 
+(* a cell found by action spares a fault building and hashing its key *)
 let add t ev =
   t.count ev;
-  match ev with Event.Fault { action; _ } -> bump t.table ("fault." ^ action) | _ -> ()
+  match ev with
+  | Event.Fault { action; _ } -> (
+      try incr (List.assoc action t.faults)
+      with Not_found ->
+        let r = ref 1 in
+        Hashtbl.replace t.table ("fault." ^ action) r;
+        t.faults <- (action, r) :: t.faults)
+  | _ -> ()
 
 let fixed t key = match Hashtbl.find_opt index key with Some i -> t.slots.(i) | None -> 0
 

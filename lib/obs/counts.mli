@@ -28,8 +28,8 @@ val create : unit -> t
 
 val add : t -> Event.t -> unit
 (** Count an event under its {!iter} keys and, for a [Fault], under
-    ["fault.<action>"] too. Allocation-free for every constructor but
-    [Note] and [Fault]. *)
+    ["fault.<action>"] too. Allocation-free but for a [Note], and for the
+    first [Fault] of each action. *)
 
 val find : t -> string -> int
 (** Count under a key, slot and table together; 0 for a key never seen. *)

@@ -136,8 +136,7 @@ let rec attrs buf sep = function
       Json.add_string buf k; Buffer.add_char buf ':'; Json.add_string buf v;
       attrs buf true rest
 
-(* the text of the last non-integral time written: consecutive events
-   often share a time, and its %.12g is the dearest part of a line *)
+(* the last non-integral time written, and its text: events often repeat it *)
 type memo = { mutable last : float; mutable text : string }
 
 let write_with memo buf ~time ev =

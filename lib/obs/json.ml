@@ -8,10 +8,9 @@ type t =
 
 (* ---- emitter ---- *)
 
-(* One escaping rule and one number rule, for the tree and Event.write. Fast
-   paths keep the general case's bytes: a string with nothing to escape is
-   copied whole (String.exists would allocate a closure), and an integral
-   number below 1e15 is written as digits. *)
+(* One escaping and one number rule, for the tree and Event.write. Fast paths keep the
+   general case's bytes: a string with nothing to escape is copied whole (String.exists
+   would allocate a closure), and an integral number below 1e15 is written as digits. *)
 let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
 let rec plain s i =
   i = String.length s || ((not (needs_escape (String.unsafe_get s i))) && plain s (i + 1))
@@ -57,8 +56,7 @@ and add_int buf n =
   end
   else add_num buf (float_of_int n)
 
-(* [spill] runs after each element of a list or object, where a streaming
-   writer hands the buffer to its channel *)
+(* [spill] runs after each element: a streaming writer empties the buffer *)
 let rec add ~spill buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")

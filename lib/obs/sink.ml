@@ -166,16 +166,10 @@ let buffered ?(capacity = 64) () =
   (sub, replay)
 
 let parse_line s =
-  match Json.parse s with
-  | Error e -> Error e
-  | Ok json -> (
-      match Event.of_json json with
-      | Error e -> Error e
-      | Ok ev ->
-          let time =
-            Option.value ~default:0.0 (Option.bind (Json.member "t" json) Json.num)
-          in
-          Ok (time, ev))
+  let ( let* ) = Result.bind in
+  let* json = Json.parse s in
+  let* ev = Event.of_json json in
+  Ok (Option.value ~default:0.0 (Option.bind (Json.member "t" json) Json.num), ev)
 
 let read_file path (sub : subscriber) =
   In_channel.with_open_text path (fun ic ->
