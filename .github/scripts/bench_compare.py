@@ -107,10 +107,11 @@ def say(status, line):
 
 
 def check_per_op(base, cur, checks, tolerance):
-    """Interceptor and profiler rows (timing and allocation) and event
-    throughput, queued for evaluate()."""
+    """Interceptor, profiler and signature-cost rows (timing and
+    allocation) and event throughput, queued for evaluate()."""
     for section, unit in (("interceptor_overhead", "ns_per_message"),
-                          ("profiler_overhead", "ns_per_call")):
+                          ("profiler_overhead", "ns_per_call"),
+                          ("crypto_cost", "ns_per_call")):
         b = index_by(base.get(section, []), "config")
         c = index_by(cur.get(section, []), "config")
         words = unit.replace("ns_", "minor_words_")

@@ -91,6 +91,10 @@ GATES = {
                         "profiler_overhead/enabled ns_per_call"),
     "profiler allocation": (scale("profiler_overhead", "enabled", "minor_words_per_call", 1.15),
                             "profiler_overhead/enabled minor_words_per_call"),
+    "crypto timing": (scale("crypto_cost", "sign", "ns_per_call", 1.3),
+                      "crypto_cost/sign ns_per_call"),
+    "crypto allocation": (scale("crypto_cost", "verify", "minor_words_per_call", 1.15),
+                          "crypto_cost/verify minor_words_per_call"),
     "requests_per_sec": (set_key("workload_throughput", "requests_per_sec",
                                  BASE["workload_throughput"]["requests_per_sec"] * 0.7),
                          "workload_throughput requests_per_sec"),
@@ -156,6 +160,13 @@ class BenchCompare(unittest.TestCase):
         self.assertTrue(fails[0].startswith("timeline_overhead ratio"), out)
         self.assertIn("ok       causal_overhead ratio", out)
         self.assertIn("ok       workload_throughput requests_per_sec", out)
+
+    def test_report_without_crypto_rows_misses_each(self):
+        code, fails, missing, out = self.compare(delete("crypto_cost"))
+        self.assertEqual(code, 1, out)
+        self.assertEqual(fails, [], out)
+        self.assertEqual(missing, [f"crypto_cost/{config}: not in current report"
+                                   for config in ("sign", "verify", "signature_to_hex")], out)
 
     def test_only_parallel_speedup_on_a_speedup_report(self):
         report = {key: copy.deepcopy(BASE[key])

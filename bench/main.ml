@@ -2,10 +2,10 @@
    Fortress_exp.Artefact (Figures 1-2, the section-6 ordering, the
    ablations, V1/V2 and the tables around them) as one wall-clock section
    each, then measures the cost of every plane built around them -- event
-   throughput, interceptor and profiler overhead, pooled speedup, the
-   same-process overhead ratios and workload throughput -- and writes
-   BENCH_fortress.json, which .github/scripts/bench_compare.py gates
-   against bench/baseline.json.
+   throughput, interceptor and profiler overhead, the cost of a signature,
+   pooled speedup, the same-process overhead ratios and workload
+   throughput -- and writes BENCH_fortress.json, which
+   .github/scripts/bench_compare.py gates against bench/baseline.json.
 
    Run with: dune exec bench/main.exe [-- --speedup-only] *)
 
@@ -183,6 +183,41 @@ let measure_profiler_overhead () =
     (name, dt /. float_of_int calls *. 1e9, words)
   in
   [ run "disabled" `Disabled; run "enabled" `Enabled; run "enabled+sampling" `Sampling ]
+
+(* What the request path pays per signature: one [Sign.sign] and one
+   [Sign.verify] on a 120-byte payload (the size of a proxy's over-sign
+   payload), and one [signature_to_hex], which every over-sign payload
+   calls on both the signing and the verifying side. Each row's time is
+   the best of five passes of its calls; minor words are per call. *)
+let measure_crypto_cost () =
+  let module Sign = Fortress_crypto.Sign in
+  let sk, pk = Sign.generate (Fortress_util.Prng.create ~seed:5) in
+  let msg = String.make 120 'p' in
+  let signature = Sign.sign sk msg in
+  let rows =
+    [
+      ("sign", 10_000, fun () -> ignore (Sys.opaque_identity (Sign.sign sk msg)));
+      ("verify", 10_000, fun () -> ignore (Sys.opaque_identity (Sign.verify pk ~msg signature)));
+      ( "signature_to_hex",
+        200_000,
+        fun () -> ignore (Sys.opaque_identity (Sign.signature_to_hex signature)) );
+    ]
+  in
+  let loop calls f () =
+    for _ = 1 to calls do
+      f ()
+    done
+  in
+  let seconds, _ =
+    best_of ~passes:5 ~check:ignore (List.map (fun (_, calls, f) -> loop calls f) rows)
+  in
+  List.map2
+    (fun (name, calls, f) s ->
+      let words0 = Gc.minor_words () in
+      loop calls f ();
+      let words = (Gc.minor_words () -. words0) /. float_of_int calls in
+      (name, s /. float_of_int calls *. 1e9, words))
+    rows seconds
 
 (* Domain-parallel Monte-Carlo speedup: the step-level sampler at a fixed
    operating point, fanned over 1, 2 and 4 lanes of the persistent domain
@@ -443,7 +478,7 @@ let print_speedup_rows speedup =
     speedup;
   Printf.printf "means bit-identical across job counts: yes (asserted)\n\n"
 
-(* interceptor or profiler rows: per-op nanoseconds and minor words *)
+(* interceptor, profiler or crypto rows: per-op nanoseconds and minor words *)
 let per_op_json op rows =
   let module J = Fortress_obs.Json in
   J.List
@@ -463,7 +498,7 @@ let paired_json base_key variant_key (base_s, variant_s, r) =
   let module J = Fortress_obs.Json in
   J.Obj [ (base_key, J.Num base_s); (variant_key, J.Num variant_s); ("ratio", J.Num r) ]
 
-let write_bench_json ~path ~wall_seconds ~events ~event_seconds ~interceptor ~profiler
+let write_bench_json ~path ~wall_seconds ~events ~event_seconds ~interceptor ~profiler ~crypto
     ~speedup ~adaptive ~defender ~timeline ~causal ~workload =
   let module J = Fortress_obs.Json in
   let secs =
@@ -482,6 +517,7 @@ let write_bench_json ~path ~wall_seconds ~events ~event_seconds ~interceptor ~pr
         ("events_per_sec", J.Num (ratio (float_of_int events) event_seconds));
         ("interceptor_overhead", per_op_json "message" interceptor);
         ("profiler_overhead", per_op_json "call" profiler);
+        ("crypto_cost", per_op_json "call" crypto);
         ("parallel_speedup", speedup_rows_json speedup);
         ("adaptive_overhead", paired_json "fixed_seconds" "oblivious_seconds" adaptive);
         ("defender_overhead", paired_json "plain_seconds" "static_seconds" defender);
@@ -574,6 +610,13 @@ let full_bench () =
       Printf.printf "disabled path allocates %s per call\n\n"
         (if words < 0.5 then "nothing" else Printf.sprintf "%.1f words (REGRESSION)" words)
   | _ -> print_newline ());
+  let crypto = measure_crypto_cost () in
+  Printf.printf "== signature cost (120-byte payload, best of 5 passes) ==\n";
+  List.iter
+    (fun (name, ns, words) ->
+      Printf.printf "%-18s %8.1f ns/call  %6.1f minor words/call\n" name ns words)
+    crypto;
+  print_newline ();
   let speedup = measure_parallel_speedup () in
   print_speedup_rows speedup;
   let adaptive = measure_adaptive_overhead () in
@@ -616,8 +659,8 @@ let full_bench () =
   Printf.printf "pass digests bit-identical: yes (asserted)\n\n";
   let wall_seconds = Unix.gettimeofday () -. t_start in
   let path = "BENCH_fortress.json" in
-  write_bench_json ~path ~wall_seconds ~events ~event_seconds ~interceptor ~profiler ~speedup
-    ~adaptive ~defender ~timeline ~causal ~workload;
+  write_bench_json ~path ~wall_seconds ~events ~event_seconds ~interceptor ~profiler ~crypto
+    ~speedup ~adaptive ~defender ~timeline ~causal ~workload;
   Printf.printf "total wall time: %.2f s; per-section timings written to %s\n" wall_seconds path
 
 let () =

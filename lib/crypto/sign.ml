@@ -1,49 +1,31 @@
-type secret_key = string
-type public_key = string (* SHA-256 fingerprint of the secret *)
+(* A keypair is one prepared MAC key plus its fingerprint. The two halves
+   are the same record; only the abstract types of the interface keep a
+   [public_key] holder from signing, since [sign] takes a [secret_key]. *)
+type public_key = { fingerprint : string; key : Hmac.key }
+type secret_key = public_key
 type signature = string
 
-(* The trapdoor registry is process-wide and deployments are built on
-   whichever domain runs the trial, so lookups and registrations must be
-   serialised: concurrent Hashtbl mutation is unsafe under OCaml 5. Key
-   generation is rare and verification's critical section is one probe, so
-   the uncontended mutex cost is noise on the signing path. *)
-let registry : (public_key, secret_key) Hashtbl.t = Hashtbl.create 64
-let registry_lock = Mutex.create ()
-
-let with_registry f =
-  Mutex.lock registry_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock registry_lock) f
-
-let equal_public = String.equal
-let compare_public = String.compare
-let public_to_hex = Sha256.to_hex
+let equal_public a b = String.equal a.fingerprint b.fingerprint
+let compare_public a b = String.compare a.fingerprint b.fingerprint
+let public_to_hex pk = Sha256.to_hex pk.fingerprint
 let pp_public ppf pk = Format.pp_print_string ppf (String.sub (public_to_hex pk) 0 12)
 
 let signature_to_hex = Sha256.to_hex
 let equal_signature = String.equal
 
-let generate prng =
-  let buf = Bytes.create 32 in
-  for i = 0 to 3 do
-    Bytes.set_int64_be buf (8 * i) (Fortress_util.Prng.bits64 prng)
-  done;
-  let secret = Bytes.to_string buf in
-  let public = Sha256.digest secret in
-  with_registry (fun () -> Hashtbl.replace registry public secret);
-  (secret, public)
-
-let public_of_secret secret = Sha256.digest secret
-
-let sign secret msg = Hmac.mac ~key:secret msg
-
-let verify public ~msg signature =
-  match with_registry (fun () -> Hashtbl.find_opt registry public) with
-  | None -> false
-  | Some secret -> Hmac.verify ~key:secret ~msg ~tag:signature
-
-let forge prng =
+let random_32 prng =
   let buf = Bytes.create 32 in
   for i = 0 to 3 do
     Bytes.set_int64_be buf (8 * i) (Fortress_util.Prng.bits64 prng)
   done;
   Bytes.to_string buf
+
+let generate prng =
+  let secret = random_32 prng in
+  let keypair = { fingerprint = Sha256.digest secret; key = Hmac.prepare secret } in
+  (keypair, keypair)
+
+let public_of_secret sk = sk
+let sign sk msg = Hmac.mac_with sk.key msg
+let verify pk ~msg signature = Hmac.verify_with pk.key ~msg ~tag:signature
+let forge = random_32

@@ -234,7 +234,12 @@ let run_plan_with trial ?sink ?(causal_offset = 0) cfg plan =
         Some
           (fun ~index ->
             match slots.(index - 1) with
-            | Some { ts_replay = Some replay; _ } -> replay s
+            | Some ({ ts_replay = Some replay; _ } as slot) ->
+                replay s;
+                (* the recording is spent: drop it, so a sequential run
+                   holds one trial's events at a time (a parallel join
+                   starts once every trial has recorded) *)
+                slots.(index - 1) <- Some { slot with ts_replay = None }
             | _ -> ())
     | _ -> None
   in

@@ -84,16 +84,23 @@ let create () =
   let count = iter ~fixed:(fun i -> slots.(i) <- slots.(i) + 1) ~note:(bump table) in
   { slots; table; count; faults = [] }
 
-(* a cell found by action spares a fault building and hashing its key *)
+(* the "fault.<action>" cell of [action], found without building its key;
+   [String.equal], not the polymorphic compare of [List.assoc]: faults
+   come at message rate *)
+let rec fault_cell action = function
+  | [] -> raise Not_found
+  | (a, r) :: rest -> if String.equal a action then r else fault_cell action rest
+
 let add t ev =
   t.count ev;
   match ev with
   | Event.Fault { action; _ } -> (
-      try incr (List.assoc action t.faults)
-      with Not_found ->
-        let r = ref 1 in
-        Hashtbl.replace t.table ("fault." ^ action) r;
-        t.faults <- (action, r) :: t.faults)
+      match fault_cell action t.faults with
+      | r -> incr r
+      | exception Not_found ->
+          let r = ref 1 in
+          Hashtbl.replace t.table ("fault." ^ action) r;
+          t.faults <- (action, r) :: t.faults)
   | _ -> ()
 
 let fixed t key = match Hashtbl.find_opt index key with Some i -> t.slots.(i) | None -> 0

@@ -90,6 +90,152 @@ let test_hmac_verify () =
   Alcotest.(check bool) "truncated tag" false
     (Hmac.verify ~key ~msg ~tag:(String.sub tag 0 16))
 
+(* ---- the replaced implementations, kept as the reference ---- *)
+
+(* The Int32 SHA-256, the string-building HMAC and the Printf hex encoder
+   that the native-int code with HMAC midstates replaced, kept as they
+   were (less the finalize-once guard), so the properties below check the
+   rewrite against the old rules rather than against itself. *)
+module Reference = struct
+  let k =
+    [|
+      0x428a2f98l; 0x71374491l; 0xb5c0fbcfl; 0xe9b5dba5l; 0x3956c25bl; 0x59f111f1l;
+      0x923f82a4l; 0xab1c5ed5l; 0xd807aa98l; 0x12835b01l; 0x243185bel; 0x550c7dc3l;
+      0x72be5d74l; 0x80deb1fel; 0x9bdc06a7l; 0xc19bf174l; 0xe49b69c1l; 0xefbe4786l;
+      0x0fc19dc6l; 0x240ca1ccl; 0x2de92c6fl; 0x4a7484aal; 0x5cb0a9dcl; 0x76f988dal;
+      0x983e5152l; 0xa831c66dl; 0xb00327c8l; 0xbf597fc7l; 0xc6e00bf3l; 0xd5a79147l;
+      0x06ca6351l; 0x14292967l; 0x27b70a85l; 0x2e1b2138l; 0x4d2c6dfcl; 0x53380d13l;
+      0x650a7354l; 0x766a0abbl; 0x81c2c92el; 0x92722c85l; 0xa2bfe8a1l; 0xa81a664bl;
+      0xc24b8b70l; 0xc76c51a3l; 0xd192e819l; 0xd6990624l; 0xf40e3585l; 0x106aa070l;
+      0x19a4c116l; 0x1e376c08l; 0x2748774cl; 0x34b0bcb5l; 0x391c0cb3l; 0x4ed8aa4al;
+      0x5b9cca4fl; 0x682e6ff3l; 0x748f82eel; 0x78a5636fl; 0x84c87814l; 0x8cc70208l;
+      0x90befffal; 0xa4506cebl; 0xbef9a3f7l; 0xc67178f2l;
+    |]
+
+  type ctx = {
+    h : int32 array;
+    block : Bytes.t;
+    mutable block_len : int;
+    mutable total_len : int64;
+    w : int32 array;
+  }
+
+  let init () =
+    {
+      h =
+        [|
+          0x6a09e667l; 0xbb67ae85l; 0x3c6ef372l; 0xa54ff53al;
+          0x510e527fl; 0x9b05688cl; 0x1f83d9abl; 0x5be0cd19l;
+        |];
+      block = Bytes.create 64;
+      block_len = 0;
+      total_len = 0L;
+      w = Array.make 64 0l;
+    }
+
+  let rotr x n = Int32.logor (Int32.shift_right_logical x n) (Int32.shift_left x (32 - n))
+  let ( +% ) = Int32.add
+
+  let compress ctx =
+    let w = ctx.w in
+    for i = 0 to 15 do
+      w.(i) <- Bytes.get_int32_be ctx.block (4 * i)
+    done;
+    for i = 16 to 63 do
+      let s0 =
+        Int32.logxor
+          (Int32.logxor (rotr w.(i - 15) 7) (rotr w.(i - 15) 18))
+          (Int32.shift_right_logical w.(i - 15) 3)
+      in
+      let s1 =
+        Int32.logxor
+          (Int32.logxor (rotr w.(i - 2) 17) (rotr w.(i - 2) 19))
+          (Int32.shift_right_logical w.(i - 2) 10)
+      in
+      w.(i) <- w.(i - 16) +% s0 +% w.(i - 7) +% s1
+    done;
+    let a = ref ctx.h.(0) and b = ref ctx.h.(1) and c = ref ctx.h.(2) and d = ref ctx.h.(3) in
+    let e = ref ctx.h.(4) and f = ref ctx.h.(5) and g = ref ctx.h.(6) and hh = ref ctx.h.(7) in
+    for i = 0 to 63 do
+      let s1 = Int32.logxor (Int32.logxor (rotr !e 6) (rotr !e 11)) (rotr !e 25) in
+      let ch = Int32.logxor (Int32.logand !e !f) (Int32.logand (Int32.lognot !e) !g) in
+      let temp1 = !hh +% s1 +% ch +% k.(i) +% w.(i) in
+      let s0 = Int32.logxor (Int32.logxor (rotr !a 2) (rotr !a 13)) (rotr !a 22) in
+      let maj =
+        Int32.logxor
+          (Int32.logxor (Int32.logand !a !b) (Int32.logand !a !c))
+          (Int32.logand !b !c)
+      in
+      let temp2 = s0 +% maj in
+      hh := !g;
+      g := !f;
+      f := !e;
+      e := !d +% temp1;
+      d := !c;
+      c := !b;
+      b := !a;
+      a := temp1 +% temp2
+    done;
+    ctx.h.(0) <- ctx.h.(0) +% !a;
+    ctx.h.(1) <- ctx.h.(1) +% !b;
+    ctx.h.(2) <- ctx.h.(2) +% !c;
+    ctx.h.(3) <- ctx.h.(3) +% !d;
+    ctx.h.(4) <- ctx.h.(4) +% !e;
+    ctx.h.(5) <- ctx.h.(5) +% !f;
+    ctx.h.(6) <- ctx.h.(6) +% !g;
+    ctx.h.(7) <- ctx.h.(7) +% !hh
+
+  let feed ctx s =
+    ctx.total_len <- Int64.add ctx.total_len (Int64.of_int (String.length s));
+    let pos = ref 0 in
+    let len = String.length s in
+    while !pos < len do
+      let take = min (64 - ctx.block_len) (len - !pos) in
+      Bytes.blit_string s !pos ctx.block ctx.block_len take;
+      ctx.block_len <- ctx.block_len + take;
+      pos := !pos + take;
+      if ctx.block_len = 64 then begin
+        compress ctx;
+        ctx.block_len <- 0
+      end
+    done
+
+  let finalize ctx =
+    let bit_len = Int64.mul ctx.total_len 8L in
+    Bytes.set ctx.block ctx.block_len '\x80';
+    ctx.block_len <- ctx.block_len + 1;
+    if ctx.block_len > 56 then begin
+      Bytes.fill ctx.block ctx.block_len (64 - ctx.block_len) '\x00';
+      compress ctx;
+      ctx.block_len <- 0
+    end;
+    Bytes.fill ctx.block ctx.block_len (64 - ctx.block_len) '\x00';
+    Bytes.set_int64_be ctx.block 56 bit_len;
+    compress ctx;
+    let out = Bytes.create 32 in
+    for i = 0 to 7 do
+      Bytes.set_int32_be out (4 * i) ctx.h.(i)
+    done;
+    Bytes.to_string out
+
+  let digest s =
+    let ctx = init () in
+    feed ctx s;
+    finalize ctx
+
+  let to_hex raw =
+    let buf = Buffer.create (2 * String.length raw) in
+    String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) raw;
+    Buffer.contents buf
+
+  let mac ~key msg =
+    let key = if String.length key > 64 then digest key else key in
+    let key = key ^ String.make (64 - String.length key) '\x00' in
+    let xor_with pad = String.mapi (fun i a -> Char.chr (Char.code a lxor Char.code key.[i])) pad in
+    let inner = digest (xor_with (String.make 64 '\x36') ^ msg) in
+    digest (xor_with (String.make 64 '\x5c') ^ inner)
+end
+
 (* ---- Sign ---- *)
 
 let prng () = Fortress_util.Prng.create ~seed:2024
@@ -149,6 +295,162 @@ let test_nonce_string_roundtrip () =
   let a = Nonce.fresh src and b = Nonce.fresh src in
   Alcotest.(check bool) "string ids differ" false (Nonce.to_string a = Nonce.to_string b)
 
+(* ---- the rewrite against the reference ---- *)
+
+(* every length where the padding changes shape: one or two final blocks,
+   the 0x80 byte alone in a block, a resumed digest's block boundaries *)
+let padding_boundaries = [ 0; 1; 55; 56; 57; 63; 64; 65; 119; 120; 121; 127; 128; 129; 183; 184 ]
+
+let gen_bytes len =
+  QCheck.Gen.(string_size ~gen:(frequency [ (3, char); (1, oneofl [ '\x00'; '\xff' ]) ]) len)
+
+let gen_message =
+  QCheck.Gen.(gen_bytes (frequency [ (1, oneofl padding_boundaries); (1, int_range 0 300) ]))
+
+let gen_key =
+  QCheck.Gen.(gen_bytes (frequency [ (1, oneofl [ 0; 1; 32; 63; 64; 65; 150 ]); (2, int_range 0 150) ]))
+
+let print_bytes = Reference.to_hex
+
+(* a fixed-seed sample of the generator covers every boundary and both
+   extreme bytes, so the properties below cannot silently miss them *)
+let test_generator_reaches_boundaries () =
+  let rand = Random.State.make [| 2024 |] in
+  let sample = List.init 2000 (fun _ -> gen_message rand) in
+  List.iter
+    (fun n ->
+      Alcotest.(check bool)
+        (Printf.sprintf "length %d drawn" n)
+        true
+        (List.exists (fun m -> String.length m = n) sample))
+    [ 55; 56; 63; 64; 65; 119; 120; 128 ];
+  List.iter
+    (fun c ->
+      Alcotest.(check bool)
+        (Printf.sprintf "byte 0x%02x drawn" (Char.code c))
+        true
+        (List.exists (fun m -> String.contains m c) sample))
+    [ '\x00'; '\xff' ]
+
+(* consecutive pieces of [msg] of the given sizes, the rest last *)
+let chunks msg sizes =
+  let rec go pos = function
+    | [] -> [ String.sub msg pos (String.length msg - pos) ]
+    | n :: rest ->
+        let n = min n (String.length msg - pos) in
+        String.sub msg pos n :: go (pos + n) rest
+  in
+  go 0 sizes
+
+let prop_digest_matches_reference =
+  QCheck.Test.make ~count:1000 ~name:"digest and chunked feed equal the reference"
+    (QCheck.make
+       ~print:QCheck.Print.(pair print_bytes (list int))
+       QCheck.Gen.(pair gen_message (list_size (int_bound 5) (int_bound 130))))
+    (fun (msg, sizes) ->
+      let expected = Reference.digest msg in
+      let ctx = Sha256.init () in
+      List.iter (Sha256.feed ctx) (chunks msg sizes);
+      Sha256.digest msg = expected && Sha256.finalize ctx = expected)
+
+let prop_digest_from_matches_reference =
+  QCheck.Test.make ~count:500 ~name:"digest_from resumes after its block"
+    (QCheck.make ~print:QCheck.Print.(pair print_bytes print_bytes)
+       QCheck.Gen.(pair (gen_bytes (return 64)) gen_message))
+    (fun (block, msg) ->
+      Sha256.digest_from (Sha256.midstate block) msg = Reference.digest (block ^ msg))
+
+let prop_midstate_rejects_partial_blocks =
+  QCheck.Test.make ~count:300 ~name:"midstate takes exactly one 64-byte block"
+    (QCheck.make ~print:print_bytes QCheck.Gen.(gen_bytes (int_range 0 200)))
+    (fun block ->
+      match Sha256.midstate block with
+      | _ -> String.length block = 64
+      | exception Invalid_argument _ -> String.length block <> 64)
+
+let prop_hmac_matches_reference =
+  QCheck.Test.make ~count:1000 ~name:"hmac equals the reference"
+    (QCheck.make ~print:QCheck.Print.(pair print_bytes print_bytes)
+       QCheck.Gen.(pair gen_key gen_message))
+    (fun (key, msg) ->
+      let expected = Reference.mac ~key msg in
+      Hmac.mac ~key msg = expected && Hmac.verify ~key ~msg ~tag:expected)
+
+let prop_to_hex_matches_reference =
+  QCheck.Test.make ~count:500 ~name:"to_hex equals the reference"
+    (QCheck.make ~print:String.escaped gen_message)
+    (fun raw -> Sha256.to_hex raw = Reference.to_hex raw)
+
+(* ---- what a signature costs and what a key keeps alive ---- *)
+
+(* minor-heap words per call of [f], over [n] calls after one warm-up *)
+let minor_words_per_call n f =
+  ignore (Sys.opaque_identity (f ()));
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let check_words what words bound =
+  Alcotest.(check bool) (Printf.sprintf "%s: %.1f minor words <= %g" what words bound) true
+    (words <= bound)
+
+let test_digest_allocation () =
+  (* the context, its schedule and the 32-byte result; no boxed word *)
+  let msg = String.make 120 'x' in
+  check_words "120-byte digest" (minor_words_per_call 1000 (fun () -> Sha256.digest msg)) 128.0
+
+let test_sign_verify_allocation () =
+  let sk, pk = Sign.generate (prng ()) in
+  let msg = String.make 120 'x' in
+  check_words "120-byte sign + verify"
+    (minor_words_per_call 1000 (fun () -> Sign.verify pk ~msg (Sign.sign sk msg)))
+    512.0
+
+let test_signature_to_hex_allocation () =
+  let sk, _ = Sign.generate (prng ()) in
+  let s = Sign.sign sk "msg" in
+  check_words "signature_to_hex" (minor_words_per_call 1000 (fun () -> Sign.signature_to_hex s)) 16.0
+
+let test_keys_die_with_their_deployment () =
+  (* a key lives in the deployment that holds it: building and dropping a
+     thousand stacks leaves no key behind *)
+  let module Fortress = Fortress_exp.Stack_driver.Fortress in
+  let module Smr = Fortress_exp.Stack_driver.Smr in
+  let build seed =
+    ignore (Sys.opaque_identity (Fortress.make ~chi:256 ~seed));
+    ignore (Sys.opaque_identity (Smr.make ~chi:256 ~seed))
+  in
+  let live_words () =
+    Gc.compact ();
+    (Gc.stat ()).Gc.live_words
+  in
+  (* the first build initialises whatever builds share *)
+  build 0;
+  let before = live_words () in
+  for seed = 1 to 500 do
+    build seed
+  done;
+  let grown = live_words () - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d live words more after 500 fortress + 500 SMR builds < 5000" grown)
+    true (grown < 5000)
+
+let test_sign_across_domains () =
+  let msg = "signed on one domain, verified on another" in
+  let sk, pk = Sign.generate (prng ()) in
+  let s = Domain.join (Domain.spawn (fun () -> Sign.sign sk msg)) in
+  Alcotest.(check bool) "main-domain key, signed elsewhere" true (Sign.verify pk ~msg s);
+  let pk2, s2 =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let sk2, pk2 = Sign.generate (Fortress_util.Prng.create ~seed:7) in
+           (pk2, Sign.sign sk2 msg)))
+  in
+  Alcotest.(check bool) "key made elsewhere verifies here" true (Sign.verify pk2 ~msg s2);
+  Alcotest.(check bool) "and still only under its own key" false (Sign.verify pk ~msg s2)
+
 let qcheck_tests =
   let open QCheck in
   [
@@ -169,6 +471,11 @@ let qcheck_tests =
         assume (normalize k1 <> normalize k2);
         (* collision would be a catastrophic HMAC break *)
         Hmac.mac ~key:k1 msg <> Hmac.mac ~key:k2 msg);
+    prop_digest_matches_reference;
+    prop_digest_from_matches_reference;
+    prop_midstate_rejects_partial_blocks;
+    prop_hmac_matches_reference;
+    prop_to_hex_matches_reference;
   ]
 
 let () =
@@ -200,6 +507,16 @@ let () =
           Alcotest.test_case "forgery rejected" `Quick test_sign_forgery_rejected;
           Alcotest.test_case "public_of_secret" `Quick test_sign_public_of_secret;
           Alcotest.test_case "distinct keys" `Quick test_sign_distinct_keys;
+          Alcotest.test_case "across domains" `Quick test_sign_across_domains;
+          Alcotest.test_case "keys die with their deployment" `Quick
+            test_keys_die_with_their_deployment;
+        ] );
+      ( "cost",
+        [
+          Alcotest.test_case "digest allocation" `Quick test_digest_allocation;
+          Alcotest.test_case "sign and verify allocation" `Quick test_sign_verify_allocation;
+          Alcotest.test_case "signature_to_hex allocation" `Quick
+            test_signature_to_hex_allocation;
         ] );
       ( "nonce",
         [
@@ -207,5 +524,10 @@ let () =
           Alcotest.test_case "unique across sources" `Quick test_nonce_unique_across_sources;
           Alcotest.test_case "string ids" `Quick test_nonce_string_roundtrip;
         ] );
-      ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
+      ( "properties",
+        List.map QCheck_alcotest.to_alcotest qcheck_tests
+        @ [
+            Alcotest.test_case "generator reaches the padding boundaries" `Quick
+              test_generator_reaches_boundaries;
+          ] );
     ]
