@@ -107,11 +107,12 @@ def say(status, line):
 
 
 def check_per_op(base, cur, checks, tolerance):
-    """Interceptor, profiler and signature-cost rows (timing and
-    allocation) and event throughput, queued for evaluate()."""
+    """Interceptor, profiler, signature-cost and trace-digest rows (timing
+    and allocation) and event throughput, queued for evaluate()."""
     for section, unit in (("interceptor_overhead", "ns_per_message"),
                           ("profiler_overhead", "ns_per_call"),
-                          ("crypto_cost", "ns_per_call")):
+                          ("crypto_cost", "ns_per_call"),
+                          ("trace_digest", "ns_per_event")):
         b = index_by(base.get(section, []), "config")
         c = index_by(cur.get(section, []), "config")
         words = unit.replace("ns_", "minor_words_")
@@ -213,6 +214,11 @@ def check_workload(base, cur, checks, tolerance):
             say("ok", f"workload_throughput {key}: {workload[key]!r} (pinned)")
 
 
+def fmt(value):
+    """One decimal, or three significant digits below 1 (per-event words)."""
+    return f"{value:.1f}" if abs(value) >= 1 or value == 0 else f"{value:.3g}"
+
+
 def evaluate(checks):
     """The baseline-relative checks."""
     for name, b, c, lower_better, tol in checks:
@@ -225,7 +231,7 @@ def evaluate(checks):
             ratio = c / b
             worse = ratio > 1 + tol if lower_better else ratio < 1 - tol
             delta = f" ({c / b - 1:+.0%} vs baseline)"
-        say("FAIL" if worse else "ok", f"{name}: baseline {b:.1f}, current {c:.1f}{delta}")
+        say("FAIL" if worse else "ok", f"{name}: baseline {fmt(b)}, current {fmt(c)}{delta}")
 
 
 def main():

@@ -95,6 +95,10 @@ GATES = {
                       "crypto_cost/sign ns_per_call"),
     "crypto allocation": (scale("crypto_cost", "verify", "minor_words_per_call", 1.15),
                           "crypto_cost/verify minor_words_per_call"),
+    "digest timing": (scale("trace_digest", "lossy-trial", "ns_per_event", 1.3),
+                      "trace_digest/lossy-trial ns_per_event"),
+    "digest allocation": (scale("trace_digest", "lossy-trial", "minor_words_per_event", 1.15),
+                          "trace_digest/lossy-trial minor_words_per_event"),
     "requests_per_sec": (set_key("workload_throughput", "requests_per_sec",
                                  BASE["workload_throughput"]["requests_per_sec"] * 0.7),
                          "workload_throughput requests_per_sec"),
@@ -167,6 +171,12 @@ class BenchCompare(unittest.TestCase):
         self.assertEqual(fails, [], out)
         self.assertEqual(missing, [f"crypto_cost/{config}: not in current report"
                                    for config in ("sign", "verify", "signature_to_hex")], out)
+
+    def test_report_without_digest_row_misses_it(self):
+        code, fails, missing, out = self.compare(delete("trace_digest"))
+        self.assertEqual(code, 1, out)
+        self.assertEqual(fails, [], out)
+        self.assertEqual(missing, ["trace_digest/lossy-trial: not in current report"], out)
 
     def test_only_parallel_speedup_on_a_speedup_report(self):
         report = {key: copy.deepcopy(BASE[key])

@@ -2,9 +2,9 @@
    Fortress_exp.Artefact (Figures 1-2, the section-6 ordering, the
    ablations, V1/V2 and the tables around them) as one wall-clock section
    each, then measures the cost of every plane built around them -- event
-   throughput, interceptor and profiler overhead, the cost of a signature,
-   pooled speedup, the same-process overhead ratios and workload
-   throughput -- and writes BENCH_fortress.json, which
+   throughput, interceptor and profiler overhead, the cost of a signature
+   and of a trace digest, pooled speedup, the same-process overhead ratios
+   and workload throughput -- and writes BENCH_fortress.json, which
    .github/scripts/bench_compare.py gates against bench/baseline.json.
 
    Run with: dune exec bench/main.exe [-- --speedup-only] *)
@@ -218,6 +218,37 @@ let measure_crypto_cost () =
       let words = (Gc.minor_words () -. words0) /. float_of_int calls in
       (name, s /. float_of_int calls *. 1e9, words))
     rows seconds
+
+(* What the per-trial trace digest costs: one fortress trial on
+   [Plan.lossy] is recorded once, then replayed through a fresh
+   [Sink.digesting] subscriber alone. The time is the best of five passes
+   over the recording; minor words are per event, from one more pass. *)
+let measure_trace_digest () =
+  let module Sink = Fortress_obs.Sink in
+  let module Inject = Fortress_exp.Inject in
+  let module Plan = Fortress_faults.Plan in
+  let sink = Sink.create () in
+  let recorded = ref [] in
+  ignore (Sink.attach sink (fun ~time ev -> recorded := (time, ev) :: !recorded));
+  ignore (Inject.run_plan ~sink { Inject.default_config with trials = 1 } Plan.lossy);
+  let events = Array.of_list (List.rev !recorded) in
+  recorded := [];
+  let replay () =
+    let sub, digest = Sink.digesting () in
+    Array.iter (fun (time, ev) -> sub ~time ev) events;
+    digest ()
+  in
+  let same = same_across_passes "trace digest" in
+  let seconds =
+    match best_of ~passes:5 ~check:(List.iter same) [ replay ] with
+    | [ s ], _ -> s
+    | _ -> assert false
+  in
+  let n = float_of_int (Array.length events) in
+  let words0 = Gc.minor_words () in
+  ignore (replay ());
+  let words = (Gc.minor_words () -. words0) /. n in
+  (Array.length events, [ ("lossy-trial", seconds /. n *. 1e9, words) ])
 
 (* Domain-parallel Monte-Carlo speedup: the step-level sampler at a fixed
    operating point, fanned over 1, 2 and 4 lanes of the persistent domain
@@ -478,7 +509,7 @@ let print_speedup_rows speedup =
     speedup;
   Printf.printf "means bit-identical across job counts: yes (asserted)\n\n"
 
-(* interceptor, profiler or crypto rows: per-op nanoseconds and minor words *)
+(* interceptor, profiler, crypto or digest rows: per-op nanoseconds and minor words *)
 let per_op_json op rows =
   let module J = Fortress_obs.Json in
   J.List
@@ -499,7 +530,7 @@ let paired_json base_key variant_key (base_s, variant_s, r) =
   J.Obj [ (base_key, J.Num base_s); (variant_key, J.Num variant_s); ("ratio", J.Num r) ]
 
 let write_bench_json ~path ~wall_seconds ~events ~event_seconds ~interceptor ~profiler ~crypto
-    ~speedup ~adaptive ~defender ~timeline ~causal ~workload =
+    ~digest ~speedup ~adaptive ~defender ~timeline ~causal ~workload =
   let module J = Fortress_obs.Json in
   let secs =
     List.rev_map
@@ -518,6 +549,7 @@ let write_bench_json ~path ~wall_seconds ~events ~event_seconds ~interceptor ~pr
         ("interceptor_overhead", per_op_json "message" interceptor);
         ("profiler_overhead", per_op_json "call" profiler);
         ("crypto_cost", per_op_json "call" crypto);
+        ("trace_digest", per_op_json "event" digest);
         ("parallel_speedup", speedup_rows_json speedup);
         ("adaptive_overhead", paired_json "fixed_seconds" "oblivious_seconds" adaptive);
         ("defender_overhead", paired_json "plain_seconds" "static_seconds" defender);
@@ -617,6 +649,14 @@ let full_bench () =
       Printf.printf "%-18s %8.1f ns/call  %6.1f minor words/call\n" name ns words)
     crypto;
   print_newline ();
+  let digest_events, digest = measure_trace_digest () in
+  Printf.printf "== trace digest cost (one lossy fortress trial, %d events, best of 5 passes) ==\n"
+    digest_events;
+  List.iter
+    (fun (name, ns, words) ->
+      Printf.printf "%-18s %8.1f ns/event  %6.2f minor words/event\n" name ns words)
+    digest;
+  print_newline ();
   let speedup = measure_parallel_speedup () in
   print_speedup_rows speedup;
   let adaptive = measure_adaptive_overhead () in
@@ -660,7 +700,7 @@ let full_bench () =
   let wall_seconds = Unix.gettimeofday () -. t_start in
   let path = "BENCH_fortress.json" in
   write_bench_json ~path ~wall_seconds ~events ~event_seconds ~interceptor ~profiler ~crypto
-    ~speedup ~adaptive ~defender ~timeline ~causal ~workload;
+    ~digest ~speedup ~adaptive ~defender ~timeline ~causal ~workload;
   Printf.printf "total wall time: %.2f s; per-section timings written to %s\n" wall_seconds path
 
 let () =

@@ -24,16 +24,39 @@ let stats_total s = s.dropped + s.duplicated + s.reordered + s.corrupted + s.del
    keys, and two faulted runs with equal (plan, seed) are bit-identical. *)
 let derive_prng ~seed = Prng.create ~seed:(seed lxor 0x6661756c74)
 
-let link_label ~src ~dst = Printf.sprintf "link %d->%d" (Address.id src) (Address.id dst)
+(* Each faulted link's "link S->D" label, formatted at the link's first
+   fault and shared by every later one. Rows are indexed by source id and
+   each row by destination id, both grown to the largest id seen, so the
+   table holds only links that faulted and belongs to one interceptor. *)
+let link_labels () =
+  let rows = ref [||] in
+  fun ~src ~dst ->
+    let s = Address.id src and d = Address.id dst in
+    if s >= Array.length !rows then begin
+      let grown = Array.make (s + 1) [||] in
+      Array.blit !rows 0 grown 0 (Array.length !rows);
+      rows := grown
+    end;
+    if d >= Array.length !rows.(s) then begin
+      let grown = Array.make (d + 1) "" in
+      Array.blit !rows.(s) 0 grown 0 (Array.length !rows.(s));
+      !rows.(s) <- grown
+    end;
+    match !rows.(s).(d) with
+    | "" ->
+        let label = Printf.sprintf "link %d->%d" s d in
+        !rows.(s).(d) <- label;
+        label
+    | label -> label
 
 (* Compile the per-message fault rates into a network interceptor. Draw
    order is fixed (drop, corrupt, duplicate, reorder, jitter) so the PRNG
    stream — and hence the trace — is a pure function of the message
    sequence. *)
 let link_interceptor ~engine ~prng ~stats (lf : Plan.link) =
+  let label = link_labels () in
   let emit ~src ~dst action =
-    Engine.emit engine
-      (Event.Fault { action; target = link_label ~src ~dst; detail = "" })
+    Engine.emit engine (Event.Fault { action; target = label ~src ~dst; detail = "" })
   in
   fun ~src ~dst _msg ->
     if lf.Plan.drop > 0.0 && Prng.bernoulli prng ~p:lf.Plan.drop then begin

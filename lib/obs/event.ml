@@ -123,71 +123,111 @@ let verbosity = function
 
 (* ---- the trace line: write renders it, of_json reads it back ---- *)
 
-let key buf k = Buffer.add_string buf ",\""; Buffer.add_string buf k; Buffer.add_string buf "\":"
-let str buf k v = key buf k; Json.add_string buf v
-let int buf k n = key buf k; Json.add_int buf n
-let num buf k x = key buf k; Json.add_num buf x
-let null buf k = key buf k; Buffer.add_string buf "null"
+(* Each constructor's constant text -- the label and the keys between its
+   fields -- is one literal; only a Note's label is escaped *)
+let lit = Buffer.add_string
+let str = Json.add_string
+let int = Json.add_int
+let num = Json.add_num
+let enum buf s = Buffer.add_char buf '"'; Buffer.add_string buf s; Buffer.add_char buf '"'
 
 let rec attrs buf sep = function
   | [] -> ()
   | (k, v) :: rest ->
       if sep then Buffer.add_char buf ',';
-      Json.add_string buf k; Buffer.add_char buf ':'; Json.add_string buf v;
+      str buf k; Buffer.add_char buf ':'; str buf v;
       attrs buf true rest
 
-(* the last non-integral time written, and its text: events often repeat it *)
-type memo = { mutable last : float; mutable text : string }
+(* the last non-integral time written, and its text: events often repeat
+   it. The time sits in a one-cell float array and the text in reused
+   bytes, so neither is boxed or copied into a fresh string. *)
+type memo = { last : float array; text : Bytes.t; mutable len : int }
 
-let write_with memo buf ~time ev =
-  Buffer.add_string buf "{\"t\":";
-  if Float.is_integer time then Json.add_num buf time
-  else if time = memo.last then Buffer.add_string buf memo.text
+let memo () = { last = [| Float.nan |]; text = Bytes.create 32; len = 0 }
+
+let add_time memo buf time =
+  if Float.is_integer time then num buf time
+  else if time = memo.last.(0) then Buffer.add_subbytes buf memo.text 0 memo.len
   else begin
     let start = Buffer.length buf in
-    Json.add_num buf time;
-    memo.last <- time;
-    memo.text <- Buffer.sub buf start (Buffer.length buf - start)
-  end;
-  Buffer.add_string buf ",\"event\":";
-  Json.add_string buf (label ev);
+    num buf time;
+    memo.last.(0) <- time;
+    memo.len <- Buffer.length buf - start;
+    Buffer.blit buf start memo.text 0 memo.len
+  end
+
+let write_with memo buf ~time ev =
+  lit buf "{\"t\":";
+  add_time memo buf time;
   (match ev with
   | Probe { kind; tier; target; outcome } ->
-      str buf "kind" (kind_to_string kind); str buf "tier" (tier_to_string tier);
-      int buf "target" target; str buf "outcome" (outcome_to_string outcome)
-  | Compromise { tier; index } -> str buf "tier" (tier_to_string tier); int buf "index" index
-  | Rekey { nodes } | Recover { nodes } -> int buf "nodes" nodes
-  | Step { n } -> int buf "n" n
-  | Invalid_observed { proxy } -> int buf "proxy" proxy
-  | Source_blocked { proxy; source } -> int buf "proxy" proxy; int buf "source" source
-  | Source_rotated { burned } -> int buf "burned" burned
-  | Request_submitted { id } | Reply_rejected { id } -> str buf "id" id
+      lit buf ",\"event\":\"probe\",\"kind\":"; enum buf (kind_to_string kind);
+      lit buf ",\"tier\":"; enum buf (tier_to_string tier);
+      lit buf ",\"target\":"; int buf target;
+      lit buf ",\"outcome\":"; enum buf (outcome_to_string outcome)
+  | Compromise { tier; index } ->
+      lit buf ",\"event\":\"compromise\",\"tier\":"; enum buf (tier_to_string tier);
+      lit buf ",\"index\":"; int buf index
+  | Rekey { nodes } -> lit buf ",\"event\":\"rekey\",\"nodes\":"; int buf nodes
+  | Recover { nodes } -> lit buf ",\"event\":\"recover\",\"nodes\":"; int buf nodes
+  | Step { n } -> lit buf ",\"event\":\"step\",\"n\":"; int buf n
+  | Invalid_observed { proxy } ->
+      lit buf ",\"event\":\"invalid_observed\",\"proxy\":"; int buf proxy
+  | Source_blocked { proxy; source } ->
+      lit buf ",\"event\":\"source_blocked\",\"proxy\":"; int buf proxy;
+      lit buf ",\"source\":"; int buf source
+  | Source_rotated { burned } -> lit buf ",\"event\":\"source_rotated\",\"burned\":"; int buf burned
+  | Request_submitted { id } -> lit buf ",\"event\":\"request_submitted\",\"id\":"; str buf id
   | Request_completed { id; accepted } ->
-      str buf "id" id; key buf "accepted"; Buffer.add_string buf (string_of_bool accepted)
-  | Msg_delivered { src; dst } -> int buf "src" src; int buf "dst" dst
+      lit buf ",\"event\":\"request_completed\",\"id\":"; str buf id;
+      lit buf (if accepted then ",\"accepted\":true" else ",\"accepted\":false")
+  | Reply_rejected { id } -> lit buf ",\"event\":\"reply_rejected\",\"id\":"; str buf id
+  | Msg_delivered { src; dst } ->
+      lit buf ",\"event\":\"msg_delivered\",\"src\":"; int buf src;
+      lit buf ",\"dst\":"; int buf dst
   | Msg_dropped { src; dst; reason } ->
-      int buf "src" src; int buf "dst" dst; str buf "reason" reason
+      lit buf ",\"event\":\"msg_dropped\",\"src\":"; int buf src;
+      lit buf ",\"dst\":"; int buf dst;
+      lit buf ",\"reason\":"; str buf reason
   | Failover { proto; replica; view } ->
-      str buf "proto" proto; int buf "replica" replica; int buf "view" view
+      lit buf ",\"event\":\"failover\",\"proto\":"; str buf proto;
+      lit buf ",\"replica\":"; int buf replica;
+      lit buf ",\"view\":"; int buf view
   | Repl { proto; kind; detail } ->
-      str buf "proto" proto; str buf "kind" kind; str buf "detail" detail
+      lit buf ",\"event\":\"repl\",\"proto\":"; str buf proto;
+      lit buf ",\"kind\":"; str buf kind;
+      lit buf ",\"detail\":"; str buf detail
   | Trial { index; seed; lifetime } -> (
-      int buf "index" index; int buf "seed" seed;
-      match lifetime with Some l -> num buf "lifetime" l | None -> null buf "lifetime")
+      lit buf ",\"event\":\"trial\",\"index\":"; int buf index;
+      lit buf ",\"seed\":"; int buf seed;
+      lit buf ",\"lifetime\":";
+      match lifetime with Some l -> num buf l | None -> lit buf "null")
   | Span_finished { id; parent; name; start_time; duration; attrs = a } ->
-      int buf "id" id;
-      (match parent with Some p -> int buf "parent" p | None -> null buf "parent");
-      str buf "name" name; num buf "start" start_time; num buf "duration" duration;
-      key buf "attrs"; Buffer.add_char buf '{'; attrs buf false a; Buffer.add_char buf '}'
+      lit buf ",\"event\":\"span\",\"id\":"; int buf id;
+      lit buf ",\"parent\":";
+      (match parent with Some p -> int buf p | None -> lit buf "null");
+      lit buf ",\"name\":"; str buf name;
+      lit buf ",\"start\":"; num buf start_time;
+      lit buf ",\"duration\":"; num buf duration;
+      lit buf ",\"attrs\":{"; attrs buf false a; Buffer.add_char buf '}'
   | Fault { action; target; detail } ->
-      str buf "action" action; str buf "target" target; str buf "detail" detail
+      lit buf ",\"event\":\"fault\",\"action\":"; str buf action;
+      lit buf ",\"target\":"; str buf target;
+      lit buf ",\"detail\":"; str buf detail
   | Directive { step; strategy; detail } ->
-      int buf "step" step; str buf "strategy" strategy; str buf "detail" detail
-  | Note { detail; _ } -> str buf "detail" detail);
+      lit buf ",\"event\":\"directive\",\"step\":"; int buf step;
+      lit buf ",\"strategy\":"; str buf strategy;
+      lit buf ",\"detail\":"; str buf detail
+  | Note { label; detail } ->
+      lit buf ",\"event\":"; str buf label;
+      lit buf ",\"detail\":"; str buf detail);
   Buffer.add_char buf '}'
 
-let write buf ~time ev = write_with { last = Float.nan; text = "" } buf ~time ev
-let writer () = write_with { last = Float.nan; text = "" }
+let write buf ~time ev = write_with (memo ()) buf ~time ev
+
+let writer () =
+  let memo = memo () in
+  fun buf ~time ev -> write_with memo buf ~time ev
 
 let of_json json =
   let ( let* ) = Result.bind in

@@ -10,7 +10,8 @@ type t =
 
 (* One escaping and one number rule, for the tree and Event.write. Fast paths keep the
    general case's bytes: a string with nothing to escape is copied whole (String.exists
-   would allocate a closure), and an integral number below 1e15 is written as digits. *)
+   would allocate a closure), an integral number below 1e15 is written as digits, and
+   most other numbers below 1e12 skip printf too (add_g12). *)
 let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
 let rec plain s i =
   i = String.length s || ((not (needs_escape (String.unsafe_get s i))) && plain s (i + 1))
@@ -40,6 +41,69 @@ let rec add_digits buf n =
   if n >= 10 then add_digits buf (n / 10);
   Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
 
+(* ---- "%.12g" without printf ----
+
+   For 1e-4 <= |x| < 1e12 the decimal exponent e is in -4..11, where %g
+   prints fixed notation. y = |x| * 10^(11-e) is one correctly rounded
+   product (10^0..10^15 are exact doubles), and y < 2^40 puts it within
+   2^-14 of the exact product, so unless y's fraction is within 2^-12 of
+   1/2, the 12 significant digits %g rounds to are y's nearest integer.
+   Everything else is printf's, exact ties too (printf rounds them to
+   even). The tables are constants: Par runs writers on several domains. *)
+
+type g12_path = Fast | Out_of_range | Misjudged | Near_tie | Carry
+
+let pow10 =
+  [| 1e0; 1e1; 1e2; 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9; 1e10; 1e11; 1e12; 1e13; 1e14; 1e15 |]
+
+let tie_band = 0x1p-12
+
+(* digits 0..stop-1 of the 12-digit m, most significant first, with a '.'
+   before digit [point]; m holds digits 0..p *)
+let rec add_sig buf m p ~point ~stop =
+  if p > 0 then add_sig buf (m / 10) (p - 1) ~point ~stop;
+  if p < stop then begin
+    if p = point then Buffer.add_char buf '.';
+    Buffer.add_char buf (Char.unsafe_chr (48 + (m mod 10)))
+  end
+
+let rec significant m s = if m mod 10 = 0 then significant (m / 10) (s - 1) else s
+
+(* m's digits at exponent e as %g's fixed notation: no trailing zero in
+   the fraction, no point without one *)
+let add_fixed buf m e =
+  let s = significant m 12 in
+  if e >= 0 then add_sig buf m 11 ~point:(e + 1) ~stop:(max s (e + 1))
+  else begin
+    Buffer.add_string buf "0.";
+    for _ = 2 to -e do
+      Buffer.add_char buf '0'
+    done;
+    add_sig buf m 11 ~point:12 ~stop:s
+  end
+
+let add_g12 buf x =
+  let ax = Float.abs x in
+  if not (ax >= 1e-4 && ax < 1e12) then Out_of_range
+  else
+    let e = Int.max (-4) (Int.min 11 (int_of_float (Float.floor (Float.log10 ax)))) in
+    let y = ax *. Array.unsafe_get pow10 (11 - e) in
+    if y < 1e11 || y >= 1e12 then Misjudged
+    else
+      let n = int_of_float y in
+      let frac = y -. float_of_int n in
+      if Float.abs (frac -. 0.5) < tie_band then Near_tie
+      else
+        let m = if frac > 0.5 then n + 1 else n in
+        if m = 1_000_000_000_000 && e = 11 then Carry
+        else begin
+          if x < 0.0 then Buffer.add_char buf '-';
+          (* a carry into a 13th digit is 10^11 one exponent up *)
+          if m < 1_000_000_000_000 then add_fixed buf m e
+          else add_fixed buf 100_000_000_000 (e + 1);
+          Fast
+        end
+
 let rec add_num buf x =
   if Float.is_integer x && Float.abs x < 1e15 then
     (* "%.0f" wrote -0.0 as "-0"; any other such value is an exact int *)
@@ -47,7 +111,11 @@ let rec add_num buf x =
   else if Float.is_nan x || Float.abs x = Float.infinity then
     (* JSON has no NaN/inf; null is the least-surprising degradation *)
     Buffer.add_string buf "null"
-  else Buffer.add_string buf (format_float "%.12g" x)
+  else
+    match add_g12 buf x with
+    | Fast -> ()
+    | Out_of_range | Misjudged | Near_tie | Carry ->
+        Buffer.add_string buf (format_float "%.12g" x)
 
 and add_int buf n =
   if n > -1_000_000_000_000_000 && n < 1_000_000_000_000_000 then begin

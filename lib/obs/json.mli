@@ -29,7 +29,22 @@ val add_string : Buffer.t -> string -> unit
 
 val add_num : Buffer.t -> float -> unit
 (** Integral values below 1e15 in magnitude as digits ([-0.0] as ["-0"]),
-    NaN and infinities as [null], anything else as ["%.12g"]. *)
+    NaN and infinities as [null], anything else as ["%.12g"]: through
+    {!add_g12} when it takes its [Fast] path, through printf otherwise. *)
+
+type g12_path =
+  | Fast  (** written without printf *)
+  | Out_of_range  (** [|x|] outside [\[1e-4, 1e12)], or NaN *)
+  | Misjudged  (** [log10] put the decimal exponent one off *)
+  | Near_tie  (** the scaled fraction within [2^-12] of [1/2] *)
+  | Carry  (** rounding reaches [1e12]: exponent notation *)
+
+val add_g12 : Buffer.t -> float -> g12_path
+(** [add_g12 buf x] appends ["%.12g"] of [x] without printf and returns
+    [Fast], or appends nothing and names the case it leaves to printf. The
+    12 significant digits are the nearest integer to one product [|x| *
+    10^(11-e)], taken only where that product cannot round otherwise than
+    the exact value. *)
 
 val add_int : Buffer.t -> int -> unit
 (** [add_int buf n] is [add_num buf (float_of_int n)]. *)

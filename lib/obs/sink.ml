@@ -17,9 +17,16 @@ let attach t sub =
 let detach t handle = t.subs <- List.filter (fun (h, _) -> h <> handle) t.subs
 let subscriber_count t = List.length t.subs
 
+(* a top-level walk, so an emit builds no closure over time and ev *)
+let rec notify time ev = function
+  | [] -> ()
+  | (_, (sub : subscriber)) :: rest ->
+      sub ~time ev;
+      notify time ev rest
+
 let emit t ~time ev =
   t.emitted <- t.emitted + 1;
-  List.iter (fun (_, sub) -> sub ~time ev) t.subs
+  notify time ev t.subs
 
 let emitted t = t.emitted
 let forward downstream ~time ev = emit downstream ~time ev
@@ -107,36 +114,47 @@ let file path =
   (sub, close)
 
 (* FNV-1a 64-bit, kept here (not in crypto) so determinism checks need no
-   extra deps; the loop keeps its state unboxed and allocates nothing *)
-let fnv_offset = 0xcbf29ce484222325L
+   extra deps. The state lives in 8 bytes, read and written by the
+   compiler's unboxed primitives, so neither the loop nor the state
+   between two lines is a boxed int64. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+
 let fnv_prime = 0x100000001b3L
 
-let fnv_feed h bytes len =
-  let h = ref h in
+let fnv_state () =
+  let state = Bytes.create 8 in
+  set64 state 0 0xcbf29ce484222325L;
+  state
+
+(* fold bytes[0, len) and a trailing '\n' into the state *)
+let fnv_feed state bytes len =
+  let h = ref (get64 state 0) in
   for i = 0 to len - 1 do
     h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get bytes i)))) fnv_prime
   done;
-  Int64.mul (Int64.logxor !h 0x0AL) fnv_prime (* trailing '\n' *)
+  set64 state 0 (Int64.mul (Int64.logxor !h 0x0AL) fnv_prime)
 
-let fnv_hex h = Printf.sprintf "%016Lx" h
+let fnv_hex state = Printf.sprintf "%016Lx" (get64 state 0)
 
 let digesting () =
   (* FNV-1a over the JSONL rendering of every event, newline included, so
      the digest equals a hash of the equivalent trace file; the loop reads
      the line from one reused byte array *)
-  let h = ref fnv_offset and render = renderer () and bytes = ref (Bytes.create 256) in
+  let state = fnv_state () and render = renderer () and bytes = ref (Bytes.create 256) in
   let sub ~time ev =
     let buf = render ~time ev in
     let len = Buffer.length buf in
     if len > Bytes.length !bytes then bytes := Bytes.create (2 * len);
     Buffer.blit buf 0 !bytes 0 len;
-    h := fnv_feed !h !bytes len
+    fnv_feed state !bytes len
   in
-  (sub, fun () -> fnv_hex !h)
+  (sub, fun () -> fnv_hex state)
 
 let digest_lines lines =
-  let feed h s = fnv_feed h (Bytes.unsafe_of_string s) (String.length s) in
-  fnv_hex (List.fold_left feed fnv_offset lines)
+  let state = fnv_state () in
+  List.iter (fun s -> fnv_feed state (Bytes.unsafe_of_string s) (String.length s)) lines;
+  fnv_hex state
 
 let buffered ?(capacity = 64) () =
   if capacity <= 0 then invalid_arg "Sink.buffered: capacity must be positive";

@@ -100,6 +100,27 @@ let test_injector_certain_drop () =
   Alcotest.(check int) "stats count every drop" 50 stats.Injector.dropped;
   Alcotest.(check int) "drops are link faults" 50 (Injector.stats_total stats)
 
+let test_injector_shares_link_labels () =
+  (* a link's label is formatted at its first fault, then shared *)
+  let engine = Engine.create ~prng:(Fortress_util.Prng.create ~seed:0) () in
+  let targets = ref [] in
+  ignore
+    (Fortress_obs.Sink.attach (Engine.sink engine) (fun ~time:_ -> function
+       | Fortress_obs.Event.Fault { target; _ } -> targets := target :: !targets
+       | _ -> ()));
+  let icpt =
+    Injector.link_interceptor ~engine ~prng:(Injector.derive_prng ~seed:1)
+      ~stats:(Injector.fresh_stats ()) { Plan.calm with drop = 1.0 }
+  in
+  let a = Address.make 3 and b = Address.make 12 in
+  List.iter (fun (src, dst) -> ignore (icpt ~src ~dst 0)) [ (a, b); (b, a); (a, b) ];
+  match !targets with
+  | [ second; back; first ] ->
+      Alcotest.(check string) "label names the link" "link 3->12" first;
+      Alcotest.(check string) "reverse link has its own" "link 12->3" back;
+      Alcotest.(check bool) "one string per link" true (first == second)
+  | ts -> Alcotest.failf "expected 3 faults, saw %d" (List.length ts)
+
 (* ---- wiring into a deployment ---- *)
 
 let small_deployment seed =
@@ -411,6 +432,7 @@ let () =
         [
           Alcotest.test_case "deterministic verdicts" `Quick test_injector_deterministic;
           Alcotest.test_case "certain drop" `Quick test_injector_certain_drop;
+          Alcotest.test_case "one label per link" `Quick test_injector_shares_link_labels;
         ] );
       ( "wiring",
         [

@@ -484,6 +484,42 @@ let gen_text =
             [ "\""; "\\"; "\n"; "\r"; "\t"; "\x00"; "\x01"; "\x1f"; "\x7f"; "\xc3\xa9";
               "\xf0\x9f\x98\x80"; "/"; "a"; "node 3"; "" ])))
 
+(* Non-integral numbers that reach every branch of Json's printf-free
+   "%.12g" (Json.add_g12) and each case it leaves to printf. *)
+let pow10 k = if k >= 0 then 10.0 ** float_of_int k else 1.0 /. (10.0 ** float_of_int (-k))
+
+let rec ulps n x =
+  if n = 0 then x else if n > 0 then ulps (n - 1) (Float.succ x) else ulps (n + 1) (Float.pred x)
+
+let gen_g12 =
+  QCheck.Gen.(
+    let magnitude =
+      oneof
+        [
+          (* simulation times, full mantissas *)
+          float_bound_exclusive 5e4;
+          float_range 1e-4 1.0;
+          (* short binary fractions: 400.5, 0.375 *)
+          map2
+            (fun n k -> float_of_int n +. (float_of_int k /. 8.0))
+            (int_bound 100_000) (int_range 1 7);
+          map2
+            (fun k j -> float_of_int k /. float_of_int (1 lsl j))
+            (int_range 1 255) (int_range 1 8);
+          (* decimal ties (n + 1/2) * 10^(e-11) and their two float neighbours *)
+          (let+ n = int_range 100_000_000_000 999_999_999_999
+           and+ e = int_range (-4) 11
+           and+ step = int_range (-1) 1 in
+           ulps step ((float_of_int n +. 0.5) /. pow10 (11 - e)));
+          (* powers of ten past both ends of the range, a few ulps off *)
+          map2 (fun k step -> ulps step (pow10 k)) (int_range (-5) 13) (int_range (-3) 3);
+          (* rounding carries into a 13th digit: 9.9999999999996, 999999999999.6 *)
+          (let+ e = int_range (-4) 11 and+ u = float_range 0.01 0.49 in
+           pow10 (e + 1) -. (u *. pow10 (e - 11)));
+        ]
+    in
+    map2 (fun x neg -> if neg then -.x else x) magnitude bool)
+
 let gen_float =
   QCheck.Gen.(
     oneof
@@ -493,7 +529,59 @@ let gen_float =
             Float.infinity; Float.neg_infinity; 123456789012.5; -2.5 ];
         map float_of_int (int_range (-1000) 1000);
         float;
+        gen_g12;
       ])
+
+let num_text add x =
+  let buf = Buffer.create 32 in
+  add buf x;
+  Buffer.contents buf
+
+let prop_add_num_matches_printf =
+  QCheck.Test.make ~count:100_000 ~name:"Json.add_num equals the printf reference"
+    (QCheck.make ~print:(Printf.sprintf "%h") gen_g12)
+    (fun x -> num_text Json.add_num x = num_text Reference.add_num x)
+
+(* a fixed-seed sample of the generator takes the fast path at every
+   decimal exponent of the fixed notation and hits each printf fallback,
+   so the property above cannot silently miss one *)
+let test_g12_generator_reaches_every_path () =
+  let rand = Random.State.make [| 2026 |] in
+  let sample = List.init 20_000 (fun _ -> gen_g12 rand) in
+  let path x = Json.add_g12 (Buffer.create 32) x in
+  (* %g's exponent is that of the number rounded to 12 digits *)
+  let exponent x = Scanf.sscanf (Printf.sprintf "%.11e" x) "%_d.%_de%d" Fun.id in
+  for e = -4 to 11 do
+    Alcotest.(check bool)
+      (Printf.sprintf "fast path at exponent %d" e)
+      true
+      (List.exists (fun x -> path x = Json.Fast && exponent x = e) sample)
+  done;
+  List.iter
+    (fun (name, fallback) ->
+      Alcotest.(check bool)
+        (name ^ " drawn") true
+        (List.exists (fun x -> path x = fallback) sample))
+    [ ("out of range", Json.Out_of_range); ("misjudged exponent", Json.Misjudged);
+      ("near tie", Json.Near_tie); ("carry to 1e12", Json.Carry) ]
+
+let test_add_num_allocation () =
+  let buf = Buffer.create 64 in
+  let rec feed = function
+    | [] -> ()
+    | x :: rest ->
+        Buffer.clear buf;
+        Json.add_num buf x;
+        feed rest
+  in
+  let xs = [ 400.5; 0.375; 12345.678901; -0.0012345; 987654321.125; 9.9999999999996 ] in
+  feed xs;
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    feed xs
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.0)) "minor words for 6000 numbers" 0.0 words
 
 let gen_int =
   let e15 = 1_000_000_000_000_000 in
@@ -604,11 +692,32 @@ let test_sink_digesting_allocation () =
   Array.iter (fun (time, ev) -> sub ~time ev) pairs;
   let words = (Gc.minor_words () -. before) /. 10_000.0 in
   Alcotest.(check bool)
-    (Printf.sprintf "%.1f minor words per event <= 24" words)
-    true (words <= 24.0);
+    (Printf.sprintf "%.1f minor words per event <= 1" words)
+    true (words <= 1.0);
   Alcotest.(check string) "digest of the same lines"
     (Sink.digest_lines (Array.to_list (Array.map (fun (time, ev) -> Sink.line ~time ev) pairs)))
     (digest ())
+
+let test_sink_emit_allocation () =
+  (* the times are boxed up front, so the loop allocates only what emit
+     and its subscribers do *)
+  let evs = Array.init 10_000 (fun i -> (float_of_int i +. 0.5, Event.Step { n = i })) in
+  let seen = ref 0 in
+  let count ~time:_ _ = incr seen in
+  List.iter
+    (fun subscribers ->
+      let sink = Sink.create () in
+      for _ = 1 to subscribers do
+        ignore (Sink.attach sink count)
+      done;
+      let before = Gc.minor_words () in
+      Array.iter (fun (time, ev) -> Sink.emit sink ~time ev) evs;
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d subscribers: %.0f minor words for 10000 emits" subscribers words)
+        true (words < 10.0))
+    [ 0; 1; 2 ];
+  Alcotest.(check int) "every subscriber saw every event" 30_000 !seen
 
 let test_sink_file_flushes_and_closes () =
   let path = Filename.temp_file "fortress-sink" ".jsonl" in
@@ -1444,6 +1553,10 @@ let () =
           Alcotest.test_case "nested array depth" `Quick test_json_nested_depth;
           Alcotest.test_case "error offsets" `Quick test_json_error_offsets;
           Alcotest.test_case "accessors" `Quick test_json_accessors;
+          Alcotest.test_case "add_num allocation" `Quick test_add_num_allocation;
+          Alcotest.test_case "number generator reaches every path" `Quick
+            test_g12_generator_reaches_every_path;
+          QCheck_alcotest.to_alcotest prop_add_num_matches_printf;
         ] );
       ( "event",
         [
@@ -1503,6 +1616,7 @@ let () =
             test_sink_line_deterministic_roundtrip;
           Alcotest.test_case "file flushes and closes" `Quick test_sink_file_flushes_and_closes;
           Alcotest.test_case "digesting allocation" `Quick test_sink_digesting_allocation;
+          Alcotest.test_case "emit allocation" `Quick test_sink_emit_allocation;
           QCheck_alcotest.to_alcotest prop_line_matches_reference;
           QCheck_alcotest.to_alcotest prop_digesting_matches_lines;
         ] );
