@@ -107,12 +107,14 @@ def say(status, line):
 
 
 def check_per_op(base, cur, checks, tolerance):
-    """Interceptor, profiler, signature-cost and trace-digest rows (timing
-    and allocation) and event throughput, queued for evaluate()."""
+    """Interceptor, profiler, signature-cost, trace-digest and draw-cost
+    rows (timing and allocation) and event throughput, queued for
+    evaluate()."""
     for section, unit in (("interceptor_overhead", "ns_per_message"),
                           ("profiler_overhead", "ns_per_call"),
                           ("crypto_cost", "ns_per_call"),
-                          ("trace_digest", "ns_per_event")):
+                          ("trace_digest", "ns_per_event"),
+                          ("prng_cost", "ns_per_draw")):
         b = index_by(base.get(section, []), "config")
         c = index_by(cur.get(section, []), "config")
         words = unit.replace("ns_", "minor_words_")

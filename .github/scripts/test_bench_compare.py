@@ -49,6 +49,12 @@ def scale(section, config, key, factor):
     return edit
 
 
+def set_row(section, config, key, value):
+    def edit(report):
+        row(report, section, "config", config)[key] = value
+    return edit
+
+
 def set_a2_seconds(seconds):
     def edit(report):
         row(report, "sections", "name",
@@ -99,6 +105,13 @@ GATES = {
                       "trace_digest/lossy-trial ns_per_event"),
     "digest allocation": (scale("trace_digest", "lossy-trial", "minor_words_per_event", 1.15),
                           "trace_digest/lossy-trial minor_words_per_event"),
+    "prng timing": (scale("prng_cost", "int", "ns_per_draw", 1.3),
+                    "prng_cost/int ns_per_draw"),
+    "prng allocation": (scale("prng_cost", "float", "minor_words_per_draw", 1.15),
+                        "prng_cost/float minor_words_per_draw"),
+    # int and bernoulli allocate nothing: any word at all fails
+    "prng zero allocation": (set_row("prng_cost", "bernoulli", "minor_words_per_draw", 1),
+                             "prng_cost/bernoulli minor_words_per_draw"),
     "requests_per_sec": (set_key("workload_throughput", "requests_per_sec",
                                  BASE["workload_throughput"]["requests_per_sec"] * 0.7),
                          "workload_throughput requests_per_sec"),
@@ -177,6 +190,13 @@ class BenchCompare(unittest.TestCase):
         self.assertEqual(code, 1, out)
         self.assertEqual(fails, [], out)
         self.assertEqual(missing, ["trace_digest/lossy-trial: not in current report"], out)
+
+    def test_report_without_prng_rows_misses_each(self):
+        code, fails, missing, out = self.compare(delete("prng_cost"))
+        self.assertEqual(code, 1, out)
+        self.assertEqual(fails, [], out)
+        self.assertEqual(missing, [f"prng_cost/{config}: not in current report"
+                                   for config in ("int", "float", "bernoulli")], out)
 
     def test_only_parallel_speedup_on_a_speedup_report(self):
         report = {key: copy.deepcopy(BASE[key])

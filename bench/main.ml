@@ -2,10 +2,11 @@
    Fortress_exp.Artefact (Figures 1-2, the section-6 ordering, the
    ablations, V1/V2 and the tables around them) as one wall-clock section
    each, then measures the cost of every plane built around them -- event
-   throughput, interceptor and profiler overhead, the cost of a signature
-   and of a trace digest, pooled speedup, the same-process overhead ratios
-   and workload throughput -- and writes BENCH_fortress.json, which
-   .github/scripts/bench_compare.py gates against bench/baseline.json.
+   throughput, interceptor and profiler overhead, the cost of a signature,
+   of a trace digest and of a random draw, pooled speedup, the
+   same-process overhead ratios and workload throughput -- and writes
+   BENCH_fortress.json, which .github/scripts/bench_compare.py gates
+   against bench/baseline.json.
 
    Run with: dune exec bench/main.exe [-- --speedup-only] *)
 
@@ -184,25 +185,10 @@ let measure_profiler_overhead () =
   in
   [ run "disabled" `Disabled; run "enabled" `Enabled; run "enabled+sampling" `Sampling ]
 
-(* What the request path pays per signature: one [Sign.sign] and one
-   [Sign.verify] on a 120-byte payload (the size of a proxy's over-sign
-   payload), and one [signature_to_hex], which every over-sign payload
-   calls on both the signing and the verifying side. Each row's time is
-   the best of five passes of its calls; minor words are per call. *)
-let measure_crypto_cost () =
-  let module Sign = Fortress_crypto.Sign in
-  let sk, pk = Sign.generate (Fortress_util.Prng.create ~seed:5) in
-  let msg = String.make 120 'p' in
-  let signature = Sign.sign sk msg in
-  let rows =
-    [
-      ("sign", 10_000, fun () -> ignore (Sys.opaque_identity (Sign.sign sk msg)));
-      ("verify", 10_000, fun () -> ignore (Sys.opaque_identity (Sign.verify pk ~msg signature)));
-      ( "signature_to_hex",
-        200_000,
-        fun () -> ignore (Sys.opaque_identity (Sign.signature_to_hex signature)) );
-    ]
-  in
+(* Rows of (name, calls, f): each row's time is the best of five passes
+   of its [calls] calls of [f]; minor words are per call, from one more
+   pass. *)
+let per_call_cost rows =
   let loop calls f () =
     for _ = 1 to calls do
       f ()
@@ -218,6 +204,38 @@ let measure_crypto_cost () =
       let words = (Gc.minor_words () -. words0) /. float_of_int calls in
       (name, s /. float_of_int calls *. 1e9, words))
     rows seconds
+
+(* What the request path pays per signature: one [Sign.sign] and one
+   [Sign.verify] on a 120-byte payload (the size of a proxy's over-sign
+   payload), and one [signature_to_hex], which every over-sign payload
+   calls on both the signing and the verifying side. *)
+let measure_crypto_cost () =
+  let module Sign = Fortress_crypto.Sign in
+  let sk, pk = Sign.generate (Fortress_util.Prng.create ~seed:5) in
+  let msg = String.make 120 'p' in
+  let signature = Sign.sign sk msg in
+  per_call_cost
+    [
+      ("sign", 10_000, fun () -> ignore (Sys.opaque_identity (Sign.sign sk msg)));
+      ("verify", 10_000, fun () -> ignore (Sys.opaque_identity (Sign.verify pk ~msg signature)));
+      ( "signature_to_hex",
+        200_000,
+        fun () -> ignore (Sys.opaque_identity (Sign.signature_to_hex signature)) );
+    ]
+
+(* What a random draw costs: [Prng.int] (every probe's key guess),
+   [Prng.float] (every jittered latency sample, whose boxed result is its
+   2 words) and [Prng.bernoulli] (every lossy link and Monte-Carlo step). *)
+let measure_prng_cost () =
+  let module Prng = Fortress_util.Prng in
+  let p = Prng.create ~seed:13 in
+  let draws = 2_000_000 in
+  per_call_cost
+    [
+      ("int", draws, fun () -> ignore (Sys.opaque_identity (Prng.int p ~bound:1000)));
+      ("float", draws, fun () -> ignore (Sys.opaque_identity (Prng.float p)));
+      ("bernoulli", draws, fun () -> ignore (Sys.opaque_identity (Prng.bernoulli p ~p:0.3)));
+    ]
 
 (* What the per-trial trace digest costs: one fortress trial on
    [Plan.lossy] is recorded once, then replayed through a fresh
@@ -509,7 +527,7 @@ let print_speedup_rows speedup =
     speedup;
   Printf.printf "means bit-identical across job counts: yes (asserted)\n\n"
 
-(* interceptor, profiler, crypto or digest rows: per-op nanoseconds and minor words *)
+(* interceptor, profiler, crypto, digest or draw rows: per-op nanoseconds and minor words *)
 let per_op_json op rows =
   let module J = Fortress_obs.Json in
   J.List
@@ -530,7 +548,7 @@ let paired_json base_key variant_key (base_s, variant_s, r) =
   J.Obj [ (base_key, J.Num base_s); (variant_key, J.Num variant_s); ("ratio", J.Num r) ]
 
 let write_bench_json ~path ~wall_seconds ~events ~event_seconds ~interceptor ~profiler ~crypto
-    ~digest ~speedup ~adaptive ~defender ~timeline ~causal ~workload =
+    ~digest ~prng ~speedup ~adaptive ~defender ~timeline ~causal ~workload =
   let module J = Fortress_obs.Json in
   let secs =
     List.rev_map
@@ -550,6 +568,7 @@ let write_bench_json ~path ~wall_seconds ~events ~event_seconds ~interceptor ~pr
         ("profiler_overhead", per_op_json "call" profiler);
         ("crypto_cost", per_op_json "call" crypto);
         ("trace_digest", per_op_json "event" digest);
+        ("prng_cost", per_op_json "draw" prng);
         ("parallel_speedup", speedup_rows_json speedup);
         ("adaptive_overhead", paired_json "fixed_seconds" "oblivious_seconds" adaptive);
         ("defender_overhead", paired_json "plain_seconds" "static_seconds" defender);
@@ -657,6 +676,13 @@ let full_bench () =
       Printf.printf "%-18s %8.1f ns/event  %6.2f minor words/event\n" name ns words)
     digest;
   print_newline ();
+  let prng = measure_prng_cost () in
+  Printf.printf "== random draw cost (best of 5 passes) ==\n";
+  List.iter
+    (fun (name, ns, words) ->
+      Printf.printf "%-18s %8.1f ns/draw  %6.1f minor words/draw\n" name ns words)
+    prng;
+  print_newline ();
   let speedup = measure_parallel_speedup () in
   print_speedup_rows speedup;
   let adaptive = measure_adaptive_overhead () in
@@ -700,7 +726,7 @@ let full_bench () =
   let wall_seconds = Unix.gettimeofday () -. t_start in
   let path = "BENCH_fortress.json" in
   write_bench_json ~path ~wall_seconds ~events ~event_seconds ~interceptor ~profiler ~crypto
-    ~digest ~speedup ~adaptive ~defender ~timeline ~causal ~workload;
+    ~digest ~prng ~speedup ~adaptive ~defender ~timeline ~causal ~workload;
   Printf.printf "total wall time: %.2f s; per-section timings written to %s\n" wall_seconds path
 
 let () =

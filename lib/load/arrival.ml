@@ -5,12 +5,21 @@ type t =
   | Poisson of { rate : float }
   | Bursty of { rate : float; burst : float; mean_on : float; mean_off : float }
 
+(* NaN passes every range comparison below and infinity passes the lower
+   bounds, so each parameter is first checked finite *)
 let validate = function
   | Uniform { period } ->
-      if period <= 0.0 then Error "uniform: period must be positive" else Ok ()
-  | Poisson { rate } -> if rate <= 0.0 then Error "poisson: rate must be positive" else Ok ()
+      if not (Float.is_finite period) then Error "uniform: period must be finite"
+      else if period <= 0.0 then Error "uniform: period must be positive"
+      else Ok ()
+  | Poisson { rate } ->
+      if not (Float.is_finite rate) then Error "poisson: rate must be finite"
+      else if rate <= 0.0 then Error "poisson: rate must be positive"
+      else Ok ()
   | Bursty { rate; burst; mean_on; mean_off } ->
-      if rate <= 0.0 then Error "bursty: rate must be positive"
+      if not (List.for_all Float.is_finite [ rate; burst; mean_on; mean_off ]) then
+        Error "bursty: rates and phase means must be finite"
+      else if rate <= 0.0 then Error "bursty: rate must be positive"
       else if burst <= rate then Error "bursty: burst rate must exceed the base rate"
       else if mean_on <= 0.0 || mean_off <= 0.0 then
         Error "bursty: phase means must be positive"

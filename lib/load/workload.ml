@@ -11,12 +11,14 @@ let make ?(batch = 1) ?(timeout = default_timeout) loop = { loop; batch; timeout
 
 let validate spec =
   if spec.batch < 1 then Error "batch must be >= 1"
+  else if not (Float.is_finite spec.timeout) then Error "timeout must be finite"
   else if spec.timeout <= 0.0 then Error "timeout must be positive"
   else
     match spec.loop with
     | Open arrival -> Arrival.validate arrival
     | Closed { clients; think } ->
         if clients < 1 then Error "closed: clients must be >= 1"
+        else if not (Float.is_finite think) then Error "closed: think must be finite"
         else if think < 0.0 then Error "closed: think must be >= 0"
         else Ok ()
 

@@ -25,7 +25,9 @@ type 'msg interceptor = src:Address.t -> dst:Address.t -> 'msg -> verdict
 type 'msg t = {
   engine : Engine.t;
   default_latency : Latency.t;
-  nodes : (Address.t, 'msg node) Hashtbl.t;
+  mutable nodes : 'msg node array;
+      (** indexed by address id: [register] hands out 0, 1, ...; slots
+          [next_addr] and up are unused *)
   link_latency : (int * int, Latency.t) Hashtbl.t;
   partitions : (int * int, unit) Hashtbl.t;
   mutable next_addr : int;
@@ -40,7 +42,7 @@ let create ?(latency = Latency.default) engine =
   {
     engine;
     default_latency = latency;
-    nodes = Hashtbl.create 32;
+    nodes = [||];
     link_latency = Hashtbl.create 16;
     partitions = Hashtbl.create 16;
     next_addr = 0;
@@ -57,32 +59,42 @@ let set_corrupter t c = t.corrupter <- c
 let engine t = t.engine
 
 let register t ~name ~handler =
-  let addr = Address.make t.next_addr in
-  t.next_addr <- t.next_addr + 1;
-  Hashtbl.replace t.nodes addr { name; handler; up = true; epoch = 0 };
-  addr
+  let id = t.next_addr in
+  let node = { name; handler; up = true; epoch = 0 } in
+  if id = Array.length t.nodes then begin
+    let nodes = Array.make (Int.max 8 (2 * id)) node in
+    Array.blit t.nodes 0 nodes 0 id;
+    t.nodes <- nodes
+  end;
+  t.nodes.(id) <- node;
+  t.next_addr <- id + 1;
+  Address.make id
 
 let find t addr =
-  match Hashtbl.find_opt t.nodes addr with
-  | Some node -> node
-  | None -> invalid_arg (Printf.sprintf "Network: unknown address %s" (Address.to_string addr))
+  let id = Address.id addr in
+  if id >= 0 && id < t.next_addr then Array.unsafe_get t.nodes id
+  else invalid_arg (Printf.sprintf "Network: unknown address %s" (Address.to_string addr))
 
 let set_handler t addr handler = (find t addr).handler <- handler
 let name t addr = (find t addr).name
 
-let nodes t =
-  Hashtbl.fold (fun addr _ acc -> addr :: acc) t.nodes [] |> List.sort Address.compare
+let nodes t = List.init t.next_addr Address.make
 
 let pair_key a b =
   let ia = Address.id a and ib = Address.id b in
   if ia <= ib then (ia, ib) else (ib, ia)
 
-let partitioned t a b = Hashtbl.mem t.partitions (pair_key a b)
+(* both tables are usually empty: a send then builds no key and hashes
+   nothing *)
+let partitioned t a b =
+  Hashtbl.length t.partitions > 0 && Hashtbl.mem t.partitions (pair_key a b)
 
 let latency_for t a b =
-  match Hashtbl.find_opt t.link_latency (pair_key a b) with
-  | Some l -> l
-  | None -> t.default_latency
+  if Hashtbl.length t.link_latency = 0 then t.default_latency
+  else
+    match Hashtbl.find_opt t.link_latency (pair_key a b) with
+    | Some l -> l
+    | None -> t.default_latency
 
 let drop t ~src ~dst ~reason =
   t.dropped <- t.dropped + 1;

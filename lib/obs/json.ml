@@ -49,7 +49,10 @@ let rec add_digits buf n =
    2^-14 of the exact product, so unless y's fraction is within 2^-12 of
    1/2, the 12 significant digits %g rounds to are y's nearest integer.
    Everything else is printf's, exact ties too (printf rounds them to
-   even). The tables are constants: Par runs writers on several domains. *)
+   even). For |x| >= 1, e comes from comparisons with the exact powers;
+   below 1, where no power of ten is a double, from log10, which may put
+   it one off: the range check on y catches that. The tables are
+   constants: Par runs writers on several domains. *)
 
 type g12_path = Fast | Out_of_range | Misjudged | Near_tie | Carry
 
@@ -58,14 +61,31 @@ let pow10 =
 
 let tie_band = 0x1p-12
 
-(* digits 0..stop-1 of the 12-digit m, most significant first, with a '.'
-   before digit [point]; m holds digits 0..p *)
-let rec add_sig buf m p ~point ~stop =
-  if p > 0 then add_sig buf (m / 10) (p - 1) ~point ~stop;
-  if p < stop then begin
-    if p = point then Buffer.add_char buf '.';
-    Buffer.add_char buf (Char.unsafe_chr (48 + (m mod 10)))
+(* "00" .. "99": the two digits of q at 2q and 2q + 1 *)
+let digit_pairs =
+  String.init 200 (fun i -> Char.unsafe_chr (48 + if i land 1 = 0 then i / 20 else i / 2 mod 10))
+
+(* digits i and i + 1 of the 12-digit m, which pair q holds; digits from
+   [stop] on are not written, and a '.' goes before digit [point] *)
+let add_pair buf q i ~point ~stop =
+  if i < stop then begin
+    if i = point then Buffer.add_char buf '.';
+    Buffer.add_char buf (String.unsafe_get digit_pairs (2 * q));
+    if i + 1 < stop then begin
+      if i + 1 = point then Buffer.add_char buf '.';
+      Buffer.add_char buf (String.unsafe_get digit_pairs ((2 * q) + 1))
+    end
   end
+
+(* the 12-digit m, most significant digit first, two digits per division *)
+let add_sig buf m ~point ~stop =
+  let hi = m / 1_000_000 and lo = m mod 1_000_000 in
+  add_pair buf (hi / 10_000) 0 ~point ~stop;
+  add_pair buf (hi / 100 mod 100) 2 ~point ~stop;
+  add_pair buf (hi mod 100) 4 ~point ~stop;
+  add_pair buf (lo / 10_000) 6 ~point ~stop;
+  add_pair buf (lo / 100 mod 100) 8 ~point ~stop;
+  add_pair buf (lo mod 100) 10 ~point ~stop
 
 let rec significant m s = if m mod 10 = 0 then significant (m / 10) (s - 1) else s
 
@@ -73,20 +93,29 @@ let rec significant m s = if m mod 10 = 0 then significant (m / 10) (s - 1) else
    the fraction, no point without one *)
 let add_fixed buf m e =
   let s = significant m 12 in
-  if e >= 0 then add_sig buf m 11 ~point:(e + 1) ~stop:(max s (e + 1))
+  if e >= 0 then add_sig buf m ~point:(e + 1) ~stop:(Int.max s (e + 1))
   else begin
     Buffer.add_string buf "0.";
     for _ = 2 to -e do
       Buffer.add_char buf '0'
     done;
-    add_sig buf m 11 ~point:12 ~stop:s
+    add_sig buf m ~point:12 ~stop:s
   end
 
 let add_g12 buf x =
   let ax = Float.abs x in
   if not (ax >= 1e-4 && ax < 1e12) then Out_of_range
   else
-    let e = Int.max (-4) (Int.min 11 (int_of_float (Float.floor (Float.log10 ax)))) in
+    let e =
+      if ax < 1.0 then Int.max (-4) (int_of_float (Float.floor (Float.log10 ax)))
+      else begin
+        let e = ref 0 in
+        while !e < 11 && ax >= Array.unsafe_get pow10 (!e + 1) do
+          incr e
+        done;
+        !e
+      end
+    in
     let y = ax *. Array.unsafe_get pow10 (11 - e) in
     if y < 1e11 || y >= 1e12 then Misjudged
     else

@@ -35,7 +35,7 @@ val add_num : Buffer.t -> float -> unit
 type g12_path =
   | Fast  (** written without printf *)
   | Out_of_range  (** [|x|] outside [\[1e-4, 1e12)], or NaN *)
-  | Misjudged  (** [log10] put the decimal exponent one off *)
+  | Misjudged  (** below 1, [log10] put the decimal exponent one off *)
   | Near_tie  (** the scaled fraction within [2^-12] of [1/2] *)
   | Carry  (** rounding reaches [1e12]: exponent notation *)
 

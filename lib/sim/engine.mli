@@ -60,12 +60,14 @@ val causal_ambient : t -> Fortress_obs.Span.span -> (unit -> 'a) -> 'a
 
 val schedule : t -> delay:float -> (unit -> unit) -> handle
 (** [schedule t ~delay f] fires [f] at [now t +. delay]. Raises
-    [Invalid_argument] on a negative delay. *)
+    [Invalid_argument] on a negative or NaN delay, or when the delay
+    interceptor returns NaN: a NaN time would break the queue's order for
+    every other event. *)
 
 val schedule_at : t -> time:float -> (unit -> unit) -> handle
-(** Raises [Invalid_argument] when [time] is in the past. Exempt from the
-    delay interceptor — fault timelines use this to stay on schedule while
-    slowing everyone else down. *)
+(** Raises [Invalid_argument] when [time] is in the past or NaN. Exempt
+    from the delay interceptor — fault timelines use this to stay on
+    schedule while slowing everyone else down. *)
 
 val set_delay_interceptor : t -> (float -> float) option -> unit
 (** Install (or with [None] remove) a transform applied to every relative
@@ -77,17 +79,21 @@ val set_delay_interceptor : t -> (float -> float) option -> unit
 val every : t -> period:float -> ?until:float -> (unit -> unit) -> handle
 (** [every t ~period f] fires [f] at [now + period], [now + 2 period], ...
     Cancelling the returned handle stops the series. With [until], the
-    series stops after that time. *)
+    series stops after that time. Raises [Invalid_argument] unless
+    [period > 0] (so on NaN). *)
 
 val cancel : handle -> unit
-(** Idempotent; cancelling a fired event is a no-op. *)
+(** Idempotent; cancelling a fired event is a no-op. A cancelled event
+    stays queued, and its closure reachable from the queue, until its
+    time comes and it is popped unfired. *)
 
 val is_cancelled : handle -> bool
 val pending : t -> int
 (** Number of scheduled, uncancelled events. *)
 
 val step : t -> bool
-(** Execute the next event. Returns [false] when the queue is empty. *)
+(** Execute the next uncancelled event. Returns [false] when the queue
+    holds none. *)
 
 val run : ?until:float -> t -> unit
 (** Drain the event queue; with [until], stop once the next event is

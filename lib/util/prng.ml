@@ -1,20 +1,34 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives in 8 bytes, read and written by the
+   compiler's unboxed primitives, so a draw neither boxes the state nor
+   the value it returns to a caller in this module. *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create ~seed = { state = mix (Int64.of_int seed) }
-let copy t = { state = t.state }
+let of_state s =
+  let t = Bytes.create 8 in
+  set64 t 0 s;
+  t
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let create ~seed = of_state (mix (Int64.of_int seed))
+let copy t = Bytes.copy t
 
-let split t = { state = mix (bits64 t) }
+(* advance by the gamma and return the mixed state: every draw below *)
+let[@inline] next t =
+  let s = Int64.add (get64 t 0) golden_gamma in
+  set64 t 0 s;
+  mix s
+
+let bits64 t = next t
+let split t = of_state (mix (next t))
 
 (* SplitMix64 advances by a fixed gamma per draw, so the state feeding the
    n-th [split] is [state + n*gamma]: the n-th child stream is a pure
@@ -23,47 +37,51 @@ let split t = { state = mix (bits64 t) }
    trial index, never from how many splits other workers performed. *)
 let split_nth t n =
   if n <= 0 then invalid_arg "Prng.split_nth: n must be positive";
-  let s = Int64.add t.state (Int64.mul golden_gamma (Int64.of_int n)) in
-  { state = mix (mix s) }
+  let s = Int64.add (get64 t 0) (Int64.mul golden_gamma (Int64.of_int n)) in
+  of_state (mix (mix s))
 
-(* Draw uniformly from [0, bound) by rejection on the top multiple of
-   [bound], avoiding modulo bias. *)
+(* Draw uniformly from [0, bound) by rejection, avoiding modulo bias. The
+   63-bit v lies in the block of [bound] values starting at v - v mod
+   bound; v is rejected when that block is the last one, which holds
+   max_int64 and may be cut short, i.e. when the block starts past
+   max_int64 - bound. Those are exactly the draws v >= max_int64 -
+   max_int64 mod bound, here found with one division per draw and no
+   closure. *)
 let int t ~bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
-  let bound64 = Int64.of_int bound in
-  let limit = Int64.sub Int64.max_int (Int64.rem Int64.max_int bound64) in
-  let rec draw () =
-    let v = Int64.shift_right_logical (bits64 t) 1 in
-    if v >= limit then draw () else Int64.to_int (Int64.rem v bound64)
-  in
-  draw ()
+  let b = Int64.of_int bound in
+  let r = ref (-1) in
+  while !r < 0 do
+    let v = Int64.shift_right_logical (next t) 1 in
+    let m = Int64.rem v b in
+    if Int64.sub v m <= Int64.sub Int64.max_int b then r := Int64.to_int m
+  done;
+  !r
 
 let int_in_range t ~lo ~hi =
   if hi < lo then invalid_arg "Prng.int_in_range: hi < lo";
   lo + int t ~bound:(hi - lo + 1)
 
-let float t =
-  let bits = Int64.shift_right_logical (bits64 t) 11 in
-  Int64.to_float bits *. 0x1p-53
-
-let float_in_range t ~lo ~hi = lo +. ((hi -. lo) *. float t)
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let[@inline] unit_float t = Int64.to_float (Int64.shift_right_logical (next t) 11) *. 0x1p-53
+let float t = unit_float t
+let float_in_range t ~lo ~hi = lo +. ((hi -. lo) *. unit_float t)
+let bool t = Int64.logand (next t) 1L = 1L
 
 let bernoulli t ~p =
   if p <= 0.0 then false
   else if p >= 1.0 then true
-  else float t < p
+  else unit_float t < p
 
 let exponential t ~rate =
   if rate <= 0.0 then invalid_arg "Prng.exponential: rate must be positive";
-  let u = 1.0 -. float t in
+  let u = 1.0 -. unit_float t in
   -.log u /. rate
 
 let geometric t ~p =
   if not (p > 0.0 && p <= 1.0) then invalid_arg "Prng.geometric: p must be in (0, 1]";
   if p = 1.0 then 0
   else
-    let u = 1.0 -. float t in
+    let u = 1.0 -. unit_float t in
     int_of_float (Float.floor (log u /. log (1.0 -. p)))
 
 let shuffle t a =

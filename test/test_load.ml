@@ -28,6 +28,23 @@ let test_spec_parsing () =
   Alcotest.(check bool) "bad number" true (err "poisson:rate=fast");
   Alcotest.(check bool) "zero batch" true (err "poisson:rate=1,batch=0")
 
+(* NaN passes every range comparison and infinity every lower bound:
+   each such spec used to abort on the engine's clock assertion or never
+   finish *)
+let test_spec_rejects_non_finite () =
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (s ^ " rejected") true (Result.is_error (Workload.spec_of_string s)))
+    [
+      "poisson:rate=nan"; "poisson:rate=inf"; "uniform:period=nan"; "uniform:period=inf";
+      "closed:clients=2,think=nan"; "closed:clients=2,think=inf";
+      "closed:clients=2,think=50,timeout=nan"; "closed:clients=2,timeout=inf";
+      "bursty:rate=0.2,burst=2,on=nan,off=100"; "bursty:rate=0.2,burst=2,on=25,off=inf";
+      "bursty:rate=0.2,burst=nan"; "bursty:rate=0.2,burst=inf"; "bursty:rate=nan,burst=2";
+    ];
+  Alcotest.(check bool) "Arrival.validate" true
+    (Result.is_error (Arrival.validate (Arrival.Poisson { rate = Float.nan })))
+
 let test_spec_roundtrip () =
   List.iter
     (fun s ->
@@ -209,6 +226,8 @@ let () =
         [
           Alcotest.test_case "parse grammar" `Quick test_spec_parsing;
           Alcotest.test_case "to_string roundtrips" `Quick test_spec_roundtrip;
+          Alcotest.test_case "non-finite parameters rejected" `Quick
+            test_spec_rejects_non_finite;
         ] );
       ("arrival", [ Alcotest.test_case "process means" `Quick test_arrival_means ]);
       ( "plane",

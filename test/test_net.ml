@@ -145,6 +145,24 @@ let test_unknown_destination () =
   Alcotest.check_raises "unknown dst" (Invalid_argument "Network: unknown address n99")
     (fun () -> Network.send net ~src:a ~dst:(Address.make 99) (Ping 0))
 
+(* the node table is an array with spare slots: an id past the last
+   registered one, inside its capacity or not, or a negative one, is as
+   unknown as ever *)
+let test_unregistered_ids () =
+  let _, net = setup () in
+  let a = register_sink net "a" (ref []) in
+  let b = register_sink net "b" (ref []) in
+  List.iter
+    (fun id ->
+      let msg = Printf.sprintf "Network: unknown address n%d" id in
+      Alcotest.check_raises ("dst " ^ msg) (Invalid_argument msg) (fun () ->
+          Network.send net ~src:a ~dst:(Address.make id) (Ping 0));
+      Alcotest.check_raises ("src " ^ msg) (Invalid_argument msg) (fun () ->
+          Network.send net ~src:(Address.make id) ~dst:b (Ping 0)))
+    [ -1; -8; 2; 3; 7; 8; max_int ];
+  Alcotest.(check (list string)) "registered ids listed" [ "n0"; "n1" ]
+    (List.map Address.to_string (Network.nodes net))
+
 let test_set_handler_swap () =
   let engine, net = setup () in
   let first = ref 0 and second = ref 0 in
@@ -517,6 +535,7 @@ let () =
           Alcotest.test_case "lossy link" `Quick test_lossy_link;
           Alcotest.test_case "per-link latency" `Quick test_per_link_latency;
           Alcotest.test_case "unknown destination" `Quick test_unknown_destination;
+          Alcotest.test_case "negative and unregistered ids" `Quick test_unregistered_ids;
           Alcotest.test_case "handler swap" `Quick test_set_handler_swap;
           Alcotest.test_case "node listing" `Quick test_node_listing;
           Alcotest.test_case "address collections" `Quick test_address_collections;

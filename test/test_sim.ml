@@ -3,7 +3,80 @@ module Sink = Fortress_obs.Sink
 module Event = Fortress_obs.Event
 module Metrics = Fortress_obs.Metrics
 
-(* ---- Heap ---- *)
+(* ---- Heap ----
+   The binary heap of (priority, seq) entries the engine's queue replaced,
+   kept as the reference its pop order is checked against. *)
+
+module Heap = struct
+  type 'a entry = { priority : float; seq : int; value : 'a }
+  type 'a t = { mutable data : 'a entry array; mutable size : int }
+
+  let create () = { data = [||]; size = 0 }
+  let length t = t.size
+  let less a b = a.priority < b.priority || (a.priority = b.priority && a.seq < b.seq)
+
+  let grow t entry =
+    let cap = Array.length t.data in
+    if t.size = cap then begin
+      let ncap = if cap = 0 then 16 else 2 * cap in
+      let data = Array.make ncap entry in
+      Array.blit t.data 0 data 0 t.size;
+      t.data <- data
+    end
+
+  let rec sift_up t i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if less t.data.(i) t.data.(parent) then begin
+        let tmp = t.data.(i) in
+        t.data.(i) <- t.data.(parent);
+        t.data.(parent) <- tmp;
+        sift_up t parent
+      end
+    end
+
+  let rec sift_down t i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let smallest = ref i in
+    if l < t.size && less t.data.(l) t.data.(!smallest) then smallest := l;
+    if r < t.size && less t.data.(r) t.data.(!smallest) then smallest := r;
+    if !smallest <> i then begin
+      let tmp = t.data.(i) in
+      t.data.(i) <- t.data.(!smallest);
+      t.data.(!smallest) <- tmp;
+      sift_down t !smallest
+    end
+
+  let push t ~priority ~seq value =
+    let entry = { priority; seq; value } in
+    grow t entry;
+    t.data.(t.size) <- entry;
+    t.size <- t.size + 1;
+    sift_up t (t.size - 1)
+
+  let pop t =
+    if t.size = 0 then None
+    else begin
+      let top = t.data.(0) in
+      t.size <- t.size - 1;
+      if t.size > 0 then begin
+        t.data.(0) <- t.data.(t.size);
+        sift_down t 0
+      end;
+      Some (top.priority, top.seq, top.value)
+    end
+
+  let peek t =
+    if t.size = 0 then None
+    else
+      let top = t.data.(0) in
+      Some (top.priority, top.seq, top.value)
+
+  let contents t =
+    List.init t.size (fun i ->
+        let { priority; seq; value } = t.data.(i) in
+        (priority, seq, value))
+end
 
 let test_heap_ordering () =
   let h = Heap.create () in
@@ -212,6 +285,158 @@ let test_engine_run_until_exact_boundary () =
   Engine.run ~until:10.0 e;
   Alcotest.(check bool) "boundary event fires" true !fired
 
+(* ---- the engine's queue against the reference heap ----
+   Random schedule, cancel and step sequences run on an engine and, in
+   parallel, on the reference heap driven as the engine drove it before:
+   pop the minimum, skip it if cancelled, fire it otherwise. Every step
+   must fire the same event, and [pending] must equal the model's count
+   of queued uncancelled events. *)
+
+type queue_op = Schedule of int | Cancel of int | Step
+
+(* delays from a short list, so equal times (hence seq ties) are common *)
+let delays = [| 0.0; 0.5; 1.0; 1.0; 2.5; 0.125; 7.0; 1e-3 |]
+
+let run_against_reference ops =
+  let e = Engine.create () in
+  let reference = Heap.create () in
+  let handles = ref [||] and cancelled = ref [||] and fired = ref (-1) in
+  let scheduled = ref 0 and live = ref 0 in
+  let ok = ref true in
+  let check b = if not b then ok := false in
+  let rec reference_step () =
+    match Heap.pop reference with
+    | None -> -1
+    | Some (_, _, id) -> if !cancelled.(id) then reference_step () else id
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | Schedule k ->
+          let id = !scheduled in
+          incr scheduled;
+          let delay = delays.(k mod Array.length delays) in
+          Heap.push reference ~priority:(Engine.now e +. delay) ~seq:id id;
+          let h = Engine.schedule e ~delay (fun () -> fired := id) in
+          handles := Array.append !handles [| h |];
+          cancelled := Array.append !cancelled [| false |];
+          incr live
+      | Cancel k ->
+          if !scheduled > 0 then begin
+            let id = k mod !scheduled in
+            (* cancelling a fired or cancelled event changes no count *)
+            let queued = List.exists (fun (_, _, v) -> v = id) (Heap.contents reference) in
+            if queued && not !cancelled.(id) then decr live;
+            !cancelled.(id) <- true;
+            Engine.cancel !handles.(id)
+          end
+      | Step ->
+          fired := -1;
+          let stepped = Engine.step e in
+          let expected = reference_step () in
+          check (stepped = (expected >= 0));
+          check (!fired = expected);
+          if expected >= 0 then decr live);
+      check (Engine.pending e = !live))
+    ops;
+  (* drain: the rest fires in the reference's order too *)
+  let rec drain () =
+    fired := -1;
+    let stepped = Engine.step e in
+    let expected = reference_step () in
+    check (stepped = (expected >= 0) && !fired = expected);
+    if stepped then drain ()
+  in
+  drain ();
+  check (Engine.pending e = 0);
+  !ok
+
+let gen_queue_ops =
+  QCheck.Gen.(
+    list_size (int_range 0 600)
+      (frequency
+         [ (5, map (fun k -> Schedule k) (int_bound 1000)); (1, map (fun k -> Cancel k) nat);
+           (3, return Step) ]))
+
+let prop_queue_matches_reference =
+  QCheck.Test.make ~count:300 ~name:"queue pops the reference heap's order"
+    (QCheck.make gen_queue_ops) run_against_reference
+
+(* one long run past every growth step (16, 32, ..., 8192 slots: 4,863
+   entries are queued at the peak), pushes outnumbering pops, then a full
+   drain *)
+let test_queue_growth_matches_reference () =
+  let rand = Random.State.make [| 27 |] in
+  let ops =
+    List.init 12_000 (fun i ->
+        if i mod 3 <> 2 then Schedule (Random.State.int rand 1000)
+        else if Random.State.int rand 4 = 0 then Cancel (Random.State.bits rand)
+        else Step)
+  in
+  Alcotest.(check bool) "same order, same pending" true (run_against_reference ops)
+
+let test_schedule_step_allocation () =
+  let e = Engine.create () in
+  let f () = () in
+  for _ = 1 to 64 do
+    ignore (Engine.schedule e ~delay:1.0 f)
+  done;
+  Engine.run e;
+  let rounds = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    ignore (Engine.schedule e ~delay:1.0 f);
+    ignore (Engine.step e)
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int rounds in
+  (* the event record (3 words) and the clock's boxed time (2) *)
+  Alcotest.(check bool) (Printf.sprintf "%.2f words per event <= 5" words) true (words <= 5.0)
+
+(* A payload only the event's closure references: once the queue lets go
+   of a fired or cancelled event, a major collection frees it. *)
+let[@inline never] schedule_watched e weak i ~delay =
+  let payload = Bytes.make 16 'p' in
+  Weak.set weak i (Some payload);
+  Engine.schedule e ~delay (fun () -> ignore (Sys.opaque_identity payload))
+
+let test_popped_events_not_retained () =
+  let e = Engine.create () in
+  let weak = Weak.create 4 in
+  ignore (schedule_watched e weak 0 ~delay:1.0);
+  Engine.cancel (schedule_watched e weak 1 ~delay:2.0);
+  ignore (schedule_watched e weak 2 ~delay:3.0);
+  ignore (schedule_watched e weak 3 ~delay:4.0);
+  let alive () = List.init 4 (fun i -> Weak.check weak i) in
+  Gc.full_major ();
+  Alcotest.(check (list bool)) "all queued, all alive" [ true; true; true; true ] (alive ());
+  ignore (Engine.step e);
+  Gc.full_major ();
+  Alcotest.(check (list bool)) "fired one freed" [ false; true; true; true ] (alive ());
+  (* this step pops the cancelled event, then fires the third *)
+  ignore (Engine.step e);
+  Gc.full_major ();
+  Alcotest.(check (list bool)) "cancelled one freed once popped" [ false; false; false; true ]
+    (alive ());
+  Engine.run e;
+  Gc.full_major ();
+  Alcotest.(check (list bool)) "drained queue holds nothing" [ false; false; false; false ]
+    (alive ())
+
+let test_engine_nan_rejected () =
+  let e = Engine.create () in
+  let f () = () in
+  Alcotest.check_raises "NaN delay" (Invalid_argument "Engine.schedule: NaN delay") (fun () ->
+      ignore (Engine.schedule e ~delay:Float.nan f));
+  Alcotest.check_raises "NaN time" (Invalid_argument "Engine.schedule_at: NaN time") (fun () ->
+      ignore (Engine.schedule_at e ~time:Float.nan f));
+  Alcotest.check_raises "NaN period" (Invalid_argument "Engine.every: period must be positive")
+    (fun () -> ignore (Engine.every e ~period:Float.nan f));
+  Engine.set_delay_interceptor e (Some (fun d -> d *. Float.nan));
+  Alcotest.check_raises "NaN from the interceptor"
+    (Invalid_argument "Engine.schedule: the delay interceptor returned NaN") (fun () ->
+      ignore (Engine.schedule e ~delay:1.0 f));
+  Alcotest.(check int) "nothing queued" 0 (Engine.pending e)
+
 (* ---- Trace tail and counters ----
    The readers an engine leaves to its caller: [Sink.tail] keeps the last
    few state changes for printing, [Sink.counting] keeps per-label counts
@@ -353,6 +578,15 @@ let () =
           Alcotest.test_case "fresh sink unobserved" `Quick test_engine_fresh_sink_unobserved;
           Alcotest.test_case "run until exact boundary" `Quick
             test_engine_run_until_exact_boundary;
+          Alcotest.test_case "NaN rejected" `Quick test_engine_nan_rejected;
+        ] );
+      ( "queue",
+        [
+          QCheck_alcotest.to_alcotest prop_queue_matches_reference;
+          Alcotest.test_case "growth matches the reference" `Quick
+            test_queue_growth_matches_reference;
+          Alcotest.test_case "schedule and step allocation" `Quick test_schedule_step_allocation;
+          Alcotest.test_case "popped events not retained" `Quick test_popped_events_not_retained;
         ] );
       ( "trace",
         [

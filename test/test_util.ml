@@ -5,6 +5,98 @@ let check_close tolerance = Alcotest.(check (float tolerance))
 
 (* ---- Prng ---- *)
 
+(* The generator as first written, with its state a boxed int64 and a
+   [draw] closure per [int]: the reference every public function of
+   [Prng] must match draw for draw. *)
+module Reference = struct
+  type t = { mutable state : int64 }
+
+  let golden_gamma = 0x9E3779B97F4A7C15L
+
+  let mix z =
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let create ~seed = { state = mix (Int64.of_int seed) }
+  let copy t = { state = t.state }
+
+  let bits64 t =
+    t.state <- Int64.add t.state golden_gamma;
+    mix t.state
+
+  let split t = { state = mix (bits64 t) }
+
+  let split_nth t n =
+    if n <= 0 then invalid_arg "Prng.split_nth: n must be positive";
+    let s = Int64.add t.state (Int64.mul golden_gamma (Int64.of_int n)) in
+    { state = mix (mix s) }
+
+  let int t ~bound =
+    if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
+    let bound64 = Int64.of_int bound in
+    let limit = Int64.sub Int64.max_int (Int64.rem Int64.max_int bound64) in
+    let rec draw () =
+      let v = Int64.shift_right_logical (bits64 t) 1 in
+      if v >= limit then draw () else Int64.to_int (Int64.rem v bound64)
+    in
+    draw ()
+
+  let int_in_range t ~lo ~hi =
+    if hi < lo then invalid_arg "Prng.int_in_range: hi < lo";
+    lo + int t ~bound:(hi - lo + 1)
+
+  let float t =
+    let bits = Int64.shift_right_logical (bits64 t) 11 in
+    Int64.to_float bits *. 0x1p-53
+
+  let float_in_range t ~lo ~hi = lo +. ((hi -. lo) *. float t)
+  let bool t = Int64.logand (bits64 t) 1L = 1L
+
+  let bernoulli t ~p =
+    if p <= 0.0 then false
+    else if p >= 1.0 then true
+    else float t < p
+
+  let exponential t ~rate =
+    if rate <= 0.0 then invalid_arg "Prng.exponential: rate must be positive";
+    let u = 1.0 -. float t in
+    -.log u /. rate
+
+  let geometric t ~p =
+    if not (p > 0.0 && p <= 1.0) then invalid_arg "Prng.geometric: p must be in (0, 1]";
+    if p = 1.0 then 0
+    else
+      let u = 1.0 -. float t in
+      int_of_float (Float.floor (log u /. log (1.0 -. p)))
+
+  let shuffle t a =
+    for i = Array.length a - 1 downto 1 do
+      let j = int t ~bound:(i + 1) in
+      let tmp = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- tmp
+    done
+
+  let choose t a =
+    if Array.length a = 0 then invalid_arg "Prng.choose: empty array";
+    a.(int t ~bound:(Array.length a))
+
+  let sample_without_replacement t ~k ~n =
+    if k < 0 || n < 0 then invalid_arg "Prng.sample_without_replacement: negative argument";
+    if k > n then invalid_arg "Prng.sample_without_replacement: k > n";
+    let seen = Hashtbl.create (2 * k) in
+    let out = Array.make k 0 in
+    for i = 0 to k - 1 do
+      let j = n - k + i in
+      let v = int t ~bound:(j + 1) in
+      let pick = if Hashtbl.mem seen v then j else v in
+      Hashtbl.replace seen pick ();
+      out.(i) <- pick
+    done;
+    out
+end
+
 let test_prng_deterministic () =
   let a = Prng.create ~seed:42 and b = Prng.create ~seed:42 in
   for _ = 1 to 100 do
@@ -461,6 +553,159 @@ let test_plot_linear_scale () =
   Alcotest.(check bool) "negative values drawable on linear axes" true
     (String.contains (Plot.render p) 'n')
 
+(* ---- Prng against the reference ----
+   One random program of calls runs on a [Prng] and a [Reference] built
+   from the same seed: every call must return the same value (floats
+   compared bit for bit), and both streams must be at the same position
+   after it, which the next raw draw shows. *)
+
+type prng_call =
+  | Bits64
+  | Int of int
+  | Int_in_range of int * int
+  | Float
+  | Float_in_range of float * float
+  | Bool
+  | Bernoulli of float
+  | Exponential of float
+  | Geometric of float
+  | Shuffle of int
+  | Choose of int
+  | Sample of int * int
+  | Split
+  | Split_nth of int
+  | Copy
+
+(* A bound that divides max_int64 = 2^63 - 1 (here 7 of its divisors) is
+   the edge of [Prng.int]'s rejection test: its last full block starts
+   exactly at max_int64 - bound and must be kept. *)
+let max64_divisors =
+  List.map
+    (fun d -> Int64.to_int (Int64.div Int64.max_int (Int64.of_int d)))
+    [ 7; 49; 73; 127; 337; 92737; 649657 ]
+
+(* bounds from the whole positive range: small ones, any, and the top
+   quarter (2^61, max_int], where up to a third of the raw draws fall in
+   the block cut short at max_int64 and are rejected *)
+let gen_bound =
+  QCheck.Gen.(
+    oneof
+      [ int_range 1 100; int_range 1 max_int; int_range ((1 lsl 61) + 1) max_int;
+        oneofl
+          ([ 1; 2; 3; 7; 1 lsl 61; (1 lsl 61) + 1; (1 lsl 62) - 1; max_int ] @ max64_divisors);
+      ])
+
+let gen_call =
+  QCheck.Gen.(
+    oneof
+      [
+        return Bits64;
+        map (fun b -> Int b) gen_bound;
+        map2
+          (fun lo span -> Int_in_range (lo, lo + span))
+          (int_range (-1000) 1000) (int_bound 5000);
+        return Float;
+        map2
+          (fun lo w -> Float_in_range (lo, lo +. w))
+          (float_range (-10.) 10.) (float_bound_inclusive 5.);
+        return Bool;
+        map (fun p -> Bernoulli p) (oneof [ float_range (-0.5) 1.5; oneofl [ 0.0; 1.0; 0.5 ] ]);
+        map (fun r -> Exponential r) (float_range 0.01 10.0);
+        map (fun p -> Geometric p) (oneof [ float_range 1e-4 1.0; return 1.0 ]);
+        map (fun n -> Shuffle n) (int_bound 40);
+        map (fun n -> Choose n) (int_range 1 50);
+        map2 (fun k extra -> Sample (k, k + extra)) (int_bound 20) (int_bound 30);
+        return Split;
+        map (fun n -> Split_nth n) (int_range 1 100_000);
+        return Copy;
+      ])
+
+let float_bits x = Int64.to_string (Int64.bits_of_float x)
+let show_ints a = String.concat "," (Array.to_list (Array.map string_of_int a))
+
+(* the call's result on each side, as text, and the generators that
+   must stay in step after it (children and copies included) *)
+let apply_call p r = function
+  | Bits64 -> (Int64.to_string (Prng.bits64 p), Int64.to_string (Reference.bits64 r), [])
+  | Int bound -> (string_of_int (Prng.int p ~bound), string_of_int (Reference.int r ~bound), [])
+  | Int_in_range (lo, hi) ->
+      ( string_of_int (Prng.int_in_range p ~lo ~hi),
+        string_of_int (Reference.int_in_range r ~lo ~hi),
+        [] )
+  | Float -> (float_bits (Prng.float p), float_bits (Reference.float r), [])
+  | Float_in_range (lo, hi) ->
+      ( float_bits (Prng.float_in_range p ~lo ~hi),
+        float_bits (Reference.float_in_range r ~lo ~hi),
+        [] )
+  | Bool -> (string_of_bool (Prng.bool p), string_of_bool (Reference.bool r), [])
+  | Bernoulli q ->
+      (string_of_bool (Prng.bernoulli p ~p:q), string_of_bool (Reference.bernoulli r ~p:q), [])
+  | Exponential rate ->
+      (float_bits (Prng.exponential p ~rate), float_bits (Reference.exponential r ~rate), [])
+  | Geometric q ->
+      (string_of_int (Prng.geometric p ~p:q), string_of_int (Reference.geometric r ~p:q), [])
+  | Shuffle n ->
+      let a = Array.init n Fun.id and b = Array.init n Fun.id in
+      Prng.shuffle p a;
+      Reference.shuffle r b;
+      (show_ints a, show_ints b, [])
+  | Choose n ->
+      let a = Array.init n (fun i -> i * 7) in
+      (string_of_int (Prng.choose p a), string_of_int (Reference.choose r a), [])
+  | Sample (k, n) ->
+      ( show_ints (Prng.sample_without_replacement p ~k ~n),
+        show_ints (Reference.sample_without_replacement r ~k ~n),
+        [] )
+  | Split -> ("", "", [ (Prng.split p, Reference.split r) ])
+  | Split_nth n -> ("", "", [ (Prng.split_nth p n, Reference.split_nth r n) ])
+  | Copy -> ("", "", [ (Prng.copy p, Reference.copy r) ])
+
+let in_step (p, r) = Prng.bits64 p = Reference.bits64 r
+
+let prop_prng_matches_reference =
+  QCheck.Test.make ~count:2000 ~name:"every Prng function returns the reference's values"
+    QCheck.(make Gen.(pair int (list_size (int_range 1 40) gen_call)))
+    (fun (seed, calls) ->
+      let p = Prng.create ~seed and r = Reference.create ~seed in
+      List.for_all
+        (fun call ->
+          let a, b, children = apply_call p r call in
+          a = b && List.for_all in_step children && in_step (p, r))
+        calls)
+
+(* every draw agrees under bounds in (2^61, max_int], over enough draws
+   that many are rejected on the way, and under the large divisors of
+   max_int64, where up to a seventh of them fall in the edge block *)
+let test_prng_int_top_bounds () =
+  let p = Prng.create ~seed:61 and r = Reference.create ~seed:61 in
+  let bounds =
+    Array.of_list ([ (1 lsl 61) + 1; (3 lsl 60) + 12345; (1 lsl 62) - 1; max_int ] @ max64_divisors)
+  in
+  for i = 1 to 100_000 do
+    let bound = bounds.(i mod Array.length bounds) in
+    let a = Prng.int p ~bound and b = Reference.int r ~bound in
+    if a <> b then Alcotest.failf "draw %d under bound %d: %d <> %d" i bound a b
+  done;
+  Alcotest.(check int64) "streams in step" (Reference.bits64 r) (Prng.bits64 p)
+
+(* the draws behind every probe, latency sample and Monte-Carlo step *)
+let test_prng_draw_allocation () =
+  let p = Prng.create ~seed:3 in
+  let draws = 10_000 in
+  let words f =
+    let before = Gc.minor_words () in
+    for _ = 1 to draws do
+      f ()
+    done;
+    Gc.minor_words () -. before
+  in
+  Alcotest.(check (float 0.0)) "int" 0.0
+    (words (fun () -> ignore (Sys.opaque_identity (Prng.int p ~bound:1000))));
+  Alcotest.(check (float 0.0)) "bool" 0.0
+    (words (fun () -> ignore (Sys.opaque_identity (Prng.bool p))));
+  Alcotest.(check (float 0.0)) "bernoulli" 0.0
+    (words (fun () -> ignore (Sys.opaque_identity (Prng.bernoulli p ~p:0.3))))
+
 (* ---- qcheck properties ---- *)
 
 let qcheck_tests =
@@ -535,6 +780,10 @@ let () =
           Alcotest.test_case "shuffle keeps elements" `Quick test_prng_shuffle_permutation;
           Alcotest.test_case "sample without replacement" `Quick test_prng_sample_without_replacement;
           Alcotest.test_case "sample full population" `Quick test_prng_sample_full;
+          QCheck_alcotest.to_alcotest prop_prng_matches_reference;
+          Alcotest.test_case "int near max_int matches the reference" `Quick
+            test_prng_int_top_bounds;
+          Alcotest.test_case "draw allocation" `Quick test_prng_draw_allocation;
         ] );
       ( "stats",
         [
