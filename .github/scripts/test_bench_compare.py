@@ -185,6 +185,19 @@ class BenchCompare(unittest.TestCase):
         self.assertEqual(missing, [f"crypto_cost/{config}: not in current report"
                                    for config in ("sign", "verify", "signature_to_hex")], out)
 
+    def test_context_per_digest_fails_the_signature_rows(self):
+        # a one-shot digest that builds a context again (schedule, block,
+        # chaining value) costs each sign and verify 194 minor words
+        for config in ("sign", "verify"):
+            with self.subTest(config=config):
+                code, fails, missing, out = self.compare(
+                    set_row("crypto_cost", config, "minor_words_per_call", 194))
+                self.assertEqual(code, 1, out)
+                self.assertEqual(missing, [], out)
+                self.assertEqual(len(fails), 1, out)
+                self.assertTrue(
+                    fails[0].startswith(f"crypto_cost/{config} minor_words_per_call"), out)
+
     def test_report_without_digest_row_misses_it(self):
         code, fails, missing, out = self.compare(delete("trace_digest"))
         self.assertEqual(code, 1, out)

@@ -207,8 +207,8 @@ let per_call_cost rows =
 
 (* What the request path pays per signature: one [Sign.sign] and one
    [Sign.verify] on a 120-byte payload (the size of a proxy's over-sign
-   payload), and one [signature_to_hex], which every over-sign payload
-   calls on both the signing and the verifying side. *)
+   payload), and one [signature_to_hex], the hex that every over-sign
+   payload embeds (the payload writes it in place, without this string). *)
 let measure_crypto_cost () =
   let module Sign = Fortress_crypto.Sign in
   let sk, pk = Sign.generate (Fortress_util.Prng.create ~seed:5) in

@@ -11,6 +11,10 @@ type mode =
 
 type request_state = {
   mutable response : string option;
+  mutable verified : Pb.reply option;
+      (** the last reply value whose server signature checked out: the
+          proxies relay one server reply as one immutable value, so its
+          other relays need only their proxy signatures checked *)
   on_response : string -> unit;
   span : Fortress_obs.Span.span;  (** open from submit until the first accepted reply *)
 }
@@ -60,7 +64,7 @@ let submit t ~cmd ~on_response =
   let id = Nonce.to_string (Nonce.fresh t.nonce_source) in
   let span = Engine.span t.engine "client.request" in
   Fortress_obs.Span.set_attr span "id" id;
-  Hashtbl.replace t.requests id { response = None; on_response; span };
+  Hashtbl.replace t.requests id { response = None; verified = None; on_response; span };
   Engine.emit t.engine (Event.Request_submitted { id });
   (* the open request span is ambient around every (re)transmission, so
      all net.send spans of a request parent to it in the causal tree; the
@@ -96,18 +100,31 @@ let server_key_for t server_index =
   if server_index >= 0 && server_index < Array.length keys then Some keys.(server_index)
   else None
 
-let deliver t ~id ~response =
-  match Hashtbl.find_opt t.requests id with
+let deliver t request (reply : Pb.reply) =
+  match request with
   | None -> ()
   | Some r -> (
       match r.response with
       | Some _ -> () (* duplicate authenticated reply *)
       | None ->
-          r.response <- Some response;
+          r.response <- Some reply.Pb.response;
           t.accepted <- t.accepted + 1;
           Engine.finish_span t.engine r.span;
-          Engine.emit t.engine (Event.Request_completed { id; accepted = true });
-          r.on_response response)
+          Engine.emit t.engine
+            (Event.Request_completed { id = reply.Pb.request_id; accepted = true });
+          r.on_response reply.Pb.response)
+
+let server_signed t request (reply : Pb.reply) =
+  match request with
+  | Some { verified = Some v; _ } when v == reply -> true
+  | _ ->
+      let ok =
+        match server_key_for t reply.Pb.server_index with
+        | Some pk -> Pb.verify_reply pk reply
+        | None -> false
+      in
+      (match request with Some r when ok -> r.verified <- Some reply | _ -> ());
+      ok
 
 let reject t (reply : Pb.reply) =
   t.rejected <- t.rejected + 1;
@@ -125,14 +142,9 @@ let handle_doubly_signed t ~reply ~proxy_index ~proxy_signature =
              ~msg:(Message.over_sign_payload ~reply ~proxy_index)
              proxy_signature
       in
-      let server_ok =
-        match server_key_for t reply.Pb.server_index with
-        | Some pk -> Pb.verify_reply pk reply
-        | None -> false
-      in
-      if proxy_ok && server_ok then
-        deliver t ~id:reply.Pb.request_id ~response:reply.Pb.response
-      else reject t reply
+      let request = Hashtbl.find_opt t.requests reply.Pb.request_id in
+      let server_ok = server_signed t request reply in
+      if proxy_ok && server_ok then deliver t request reply else reject t reply
 
 let handle_direct t (reply : Pb.reply) =
   match t.mode with
@@ -142,7 +154,7 @@ let handle_direct t (reply : Pb.reply) =
   | Direct_servers _ -> (
       match server_key_for t reply.Pb.server_index with
       | Some pk when Pb.verify_reply pk reply ->
-          deliver t ~id:reply.Pb.request_id ~response:reply.Pb.response
+          deliver t (Hashtbl.find_opt t.requests reply.Pb.request_id) reply
       | Some _ | None -> reject t reply)
 
 let handle t ~src:_ msg =

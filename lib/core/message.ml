@@ -11,10 +11,20 @@ type t =
     }
 
 let over_sign_payload ~reply ~proxy_index =
-  Printf.sprintf "fortress-oversign|%s|%s|%d|%s|%d" reply.Pb.request_id reply.Pb.response
-    reply.Pb.server_index
-    (Sign.signature_to_hex reply.Pb.signature)
-    proxy_index
+  let module P = Fortress_crypto.Payload in
+  let { Pb.request_id; response; server_index; signature } = reply in
+  let signature = (signature :> string) in
+  let p =
+    P.create "fortress-oversign"
+      ~fields:
+        (P.str_width request_id + P.str_width response + P.int_width server_index
+       + P.hex_width signature + P.int_width proxy_index)
+  in
+  P.add_str p request_id;
+  P.add_str p response;
+  P.add_int p server_index;
+  P.add_hex p signature;
+  P.add_int p proxy_index;
+  P.contents p
 
-let is_probe_command cmd =
-  String.length cmd >= 6 && String.sub cmd 0 6 = "probe:"
+let is_probe_command cmd = String.starts_with ~prefix:"probe:" cmd

@@ -17,10 +17,22 @@ type msg =
     }
 
 let over_sign_payload ~reply ~proxy_index =
-  Printf.sprintf "fortress-smr-oversign|%s|%s|%d|%d|%s|%d" reply.Smr.request_id
-    reply.Smr.response reply.Smr.server_index reply.Smr.view
-    (Sign.signature_to_hex reply.Smr.signature)
-    proxy_index
+  let module P = Fortress_crypto.Payload in
+  let { Smr.request_id; response; server_index; view; signature } = reply in
+  let signature = (signature :> string) in
+  let p =
+    P.create "fortress-smr-oversign"
+      ~fields:
+        (P.str_width request_id + P.str_width response + P.int_width server_index
+       + P.int_width view + P.hex_width signature + P.int_width proxy_index)
+  in
+  P.add_str p request_id;
+  P.add_str p response;
+  P.add_int p server_index;
+  P.add_int p view;
+  P.add_hex p signature;
+  P.add_int p proxy_index;
+  P.contents p
 
 type config = {
   tier : Smr_deployment.config;

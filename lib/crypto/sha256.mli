@@ -5,7 +5,9 @@
     for "", "abc", the 448-bit two-block message and a million 'a', and
     against the Int32 implementation it replaced on random inputs. Every
     one-shot digest ({!digest}, {!digest_from}) counts once under the
-    [crypto.sha256] profiler phase. *)
+    [crypto.sha256] profiler phase, and allocates only its 32-byte result:
+    it builds no context, and works in a chaining value, schedule and tail
+    kept once per domain. *)
 
 type ctx
 
@@ -39,3 +41,7 @@ val hex : string -> string
 val to_hex : string -> string
 (** Lowercase hex encoding of arbitrary bytes: one table read per nibble,
     and the result is the only allocation. *)
+
+val blit_hex : string -> Bytes.t -> int -> unit
+(** [blit_hex raw dst off] writes [to_hex raw] into [dst] at [off] without
+    building it. Raises [Invalid_argument] if it does not fit. *)

@@ -25,7 +25,9 @@ val compare_public : public_key -> public_key -> int
 val public_to_hex : public_key -> string
 val pp_public : Format.formatter -> public_key -> unit
 
-type signature
+type signature = private string
+(** The 32 raw tag bytes. Private: only {!sign} and {!forge} make one, and
+    a payload builder may read its bytes (see {!Payload.add_hex}). *)
 
 val signature_to_hex : signature -> string
 val equal_signature : signature -> signature -> bool

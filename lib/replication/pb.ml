@@ -46,7 +46,14 @@ type msg =
     }
 
 let reply_payload ~id ~response ~server_index =
-  Printf.sprintf "pb-reply|%s|%s|%d" id response server_index
+  let module P = Fortress_crypto.Payload in
+  let p =
+    P.create "pb-reply" ~fields:(P.str_width id + P.str_width response + P.int_width server_index)
+  in
+  P.add_str p id;
+  P.add_str p response;
+  P.add_int p server_index;
+  P.contents p
 
 let verify_reply pk (r : reply) =
   Sign.verify pk
@@ -229,7 +236,9 @@ let complete t ip =
     ip.ip_done <- true;
     Hashtbl.replace t.executed ip.ip_id ip.ip_response;
     Hashtbl.remove t.in_progress ip.ip_id;
-    List.iter (fun w -> send_reply t ~id:ip.ip_id ~response:ip.ip_response ~to_:w) ip.ip_waiters
+    (* one signed reply value serves every waiting proxy *)
+    let reply = Reply (signed_reply t ~id:ip.ip_id ~response:ip.ip_response) in
+    List.iter (fun w -> t.send ~dst:w reply) ip.ip_waiters
   end
 
 let execute_as_primary t ~id ~cmd ~reply_to =

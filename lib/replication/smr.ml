@@ -36,7 +36,17 @@ type msg =
   | State_resp of { seq : int; snapshot : string; index : int }
 
 let reply_payload ~id ~response ~server_index ~view =
-  Printf.sprintf "smr-reply|%s|%s|%d|%d" id response server_index view
+  let module P = Fortress_crypto.Payload in
+  let p =
+    P.create "smr-reply"
+      ~fields:
+        (P.str_width id + P.str_width response + P.int_width server_index + P.int_width view)
+  in
+  P.add_str p id;
+  P.add_str p response;
+  P.add_int p server_index;
+  P.add_int p view;
+  P.contents p
 
 let verify_reply pk (r : reply) =
   Sign.verify pk
@@ -147,7 +157,11 @@ let compromised t = t.rep_compromised
 
 let others t = List.init t.config.n Fun.id |> List.filter (fun i -> i <> t.rep_index)
 let broadcast t msg = List.iter (fun i -> t.send ~dst:t.addresses.(i) msg) (others t)
-let request_digest ~id ~cmd = Sha256.digest (Printf.sprintf "%s|%s" id cmd)
+let request_digest ~id ~cmd =
+  let module P = Fortress_crypto.Payload in
+  let p = P.create id ~fields:(P.str_width cmd) in
+  P.add_str p cmd;
+  Sha256.digest (P.contents p)
 
 let signed_reply t ~id ~response =
   let response = if t.rep_compromised then "pwned:" ^ response else response in

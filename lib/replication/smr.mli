@@ -61,6 +61,9 @@ type msg =
 val reply_payload : id:string -> response:string -> server_index:int -> view:int -> string
 val verify_reply : Fortress_crypto.Sign.public_key -> reply -> bool
 
+val request_digest : id:string -> cmd:string -> string
+(** The SHA-256 of [id ^ "|" ^ cmd]: what prepare and commit votes name. *)
+
 type replica
 
 val create :

@@ -191,6 +191,131 @@ let test_client_rejects_singly_signed_when_fortified () =
   Client.handle client ~src:(Fortress_net.Address.make 0) (Message.Server (Pb.Reply reply));
   Alcotest.(check int) "singly-signed refused" (before + 1) (Client.rejected client)
 
+(* ---- the double signature, checked once per reply value ---- *)
+
+(* HMACs computed while [f] runs, by the profiler's count *)
+let hmacs_during f =
+  let module Profiler = Fortress_prof.Profiler in
+  Profiler.reset ();
+  Profiler.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Profiler.disable ();
+      Profiler.reset ())
+    (fun () ->
+      f ();
+      match
+        List.find_opt (fun (e : Profiler.entry) -> e.name = "crypto.hmac") (Profiler.snapshot ())
+      with
+      | Some e -> e.count
+      | None -> 0)
+
+(* A fortified client whose server and three proxy keys the test holds,
+   so it can sign as the server and over-sign as each proxy. *)
+type keyed = {
+  kc_client : Client.t;
+  server_secret : Sign.secret_key;
+  proxy_secrets : Sign.secret_key array;
+  rejections : string list ref;  (** ids of [Reply_rejected] events, latest first *)
+}
+
+let keyed_client () =
+  let prng = Prng.create ~seed:11 in
+  let server_secret, server_key = Sign.generate prng in
+  let proxies = Array.init 3 (fun _ -> Sign.generate prng) in
+  let record =
+    {
+      Nameserver.service = "kv";
+      proxy_addresses = Array.init 3 (fun i -> Fortress_net.Address.make (10 + i));
+      proxy_keys = Array.map snd proxies;
+      server_indices = [| 0 |];
+      server_keys = [| server_key |];
+      replication = Nameserver.Primary_backup;
+    }
+  in
+  let engine = Engine.create ~prng:(Prng.create ~seed:12) () in
+  let rejections = ref [] in
+  ignore
+    (Fortress_obs.Sink.attach (Engine.sink engine) (fun ~time:_ -> function
+       | Fortress_obs.Event.Reply_rejected { id } -> rejections := id :: !rejections
+       | _ -> ()));
+  let client =
+    Client.create ~engine ~mode:(Client.Via_proxies record)
+      ~self:(Fortress_net.Address.make 20)
+      ~send:(fun ~dst:_ _ -> ())
+      (Prng.create ~seed:13)
+  in
+  { kc_client = client; server_secret; proxy_secrets = Array.map fst proxies; rejections }
+
+let server_reply k ~id ~response =
+  {
+    Pb.request_id = id;
+    response;
+    server_index = 0;
+    signature = Sign.sign k.server_secret (Pb.reply_payload ~id ~response ~server_index:0);
+  }
+
+let relay k ~proxy_index reply =
+  Message.Client_reply
+    {
+      reply;
+      proxy_index;
+      proxy_signature =
+        Sign.sign k.proxy_secrets.(proxy_index) (Message.over_sign_payload ~reply ~proxy_index);
+    }
+
+let deliver_all k msgs =
+  List.iter (Client.handle k.kc_client ~src:(Fortress_net.Address.make 10)) msgs
+
+let test_client_checks_a_server_signature_once () =
+  let k = keyed_client () in
+  let answers = ref [] in
+  let id =
+    Client.submit k.kc_client ~cmd:"put k v" ~on_response:(fun r -> answers := r :: !answers)
+  in
+  let reply = server_reply k ~id ~response:"ok" in
+  let relays = List.init 3 (fun i -> relay k ~proxy_index:i reply) in
+  Alcotest.(check int) "3 proxy checks and 1 server check" 4
+    (hmacs_during (fun () -> deliver_all k relays));
+  Alcotest.(check (list string)) "delivered once" [ "ok" ] !answers;
+  Alcotest.(check int) "accepted once" 1 (Client.accepted k.kc_client);
+  Alcotest.(check int) "nothing rejected" 0 (Client.rejected k.kc_client);
+  (* an equal reply in another value is checked again, both signatures *)
+  let copy = { reply with Pb.response = reply.Pb.response } in
+  let relay_copy = relay k ~proxy_index:1 copy in
+  Alcotest.(check int) "another value: both checks" 2
+    (hmacs_during (fun () -> deliver_all k [ relay_copy ]));
+  Alcotest.(check int) "still nothing rejected" 0 (Client.rejected k.kc_client)
+
+let test_client_rejects_forgeries_after_acceptance () =
+  let k = keyed_client () in
+  let id = Client.submit k.kc_client ~cmd:"put k v" ~on_response:(fun _ -> ()) in
+  let reply = server_reply k ~id ~response:"ok" in
+  deliver_all k [ relay k ~proxy_index:0 reply ];
+  Alcotest.(check (option string)) "accepted" (Some "ok") (Client.response_for k.kc_client ~id);
+  let forger = Prng.create ~seed:99 in
+  let expect_rejected what msg =
+    let before = Client.rejected k.kc_client in
+    k.rejections := [];
+    deliver_all k [ msg ];
+    Alcotest.(check int) (what ^ ": rejected") (before + 1) (Client.rejected k.kc_client);
+    Alcotest.(check (list string)) (what ^ ": Reply_rejected") [ id ] !(k.rejections)
+  in
+  (* the same content under a forged server signature, over-signed by a
+     genuine proxy *)
+  expect_rejected "forged server signature"
+    (relay k ~proxy_index:1 { reply with Pb.signature = Sign.forge forger });
+  (* the reply the client already verified, under a forged proxy signature *)
+  expect_rejected "forged proxy signature"
+    (Message.Client_reply { reply; proxy_index = 2; proxy_signature = Sign.forge forger });
+  Alcotest.(check int) "accepted once" 1 (Client.accepted k.kc_client)
+
+let test_probe_command_shape () =
+  List.iter
+    (fun (cmd, expected) ->
+      Alcotest.(check bool) (Printf.sprintf "%S" cmd) expected (Message.is_probe_command cmd))
+    [ ("probe:", true); ("probe:1", true); ("probe", false); ("", false); ("xprobe:1", false) ]
+
 (* ---- proxy detection ---- *)
 
 let test_proxy_blocks_floods () =
@@ -629,6 +754,11 @@ let () =
             test_compromised_proxy_is_availability_only;
           Alcotest.test_case "forged proxy signature rejected" `Quick
             test_client_rejects_forged_proxy_signature;
+          Alcotest.test_case "server signature checked once per reply value" `Quick
+            test_client_checks_a_server_signature_once;
+          Alcotest.test_case "forgeries rejected after acceptance" `Quick
+            test_client_rejects_forgeries_after_acceptance;
+          Alcotest.test_case "probe command shape" `Quick test_probe_command_shape;
           Alcotest.test_case "singly-signed refused when fortified" `Quick
             test_client_rejects_singly_signed_when_fortified;
         ] );

@@ -381,6 +381,143 @@ let prop_to_hex_matches_reference =
     (QCheck.make ~print:String.escaped gen_message)
     (fun raw -> Sha256.to_hex raw = Reference.to_hex raw)
 
+(* Signatures reach no output, so no digest pin would catch a wrong
+   compression: the one-shot digests, the streaming context and the Int32
+   reference must agree at every length of one and two final blocks and
+   beyond, from the initial hash value and after a midstate. *)
+let test_one_shot_matches_streaming_at_every_length () =
+  let msg = String.init 300 (fun i -> Char.chr (((i * 131) + 7) land 255)) in
+  let block = String.init 64 (fun i -> Char.chr (255 - (3 * i))) in
+  let mid = Sha256.midstate block in
+  let streamed pieces =
+    let ctx = Sha256.init () in
+    List.iter (Sha256.feed ctx) pieces;
+    Sha256.to_hex (Sha256.finalize ctx)
+  in
+  for n = 0 to 300 do
+    let m = String.sub msg 0 n in
+    let expected = Reference.to_hex (Reference.digest m) in
+    Alcotest.(check string) (Printf.sprintf "digest, %d bytes" n) expected
+      (Sha256.to_hex (Sha256.digest m));
+    Alcotest.(check string) (Printf.sprintf "streamed, %d bytes" n) expected (streamed [ m ]);
+    let expected = Reference.to_hex (Reference.digest (block ^ m)) in
+    Alcotest.(check string) (Printf.sprintf "digest_from, %d bytes" n) expected
+      (Sha256.to_hex (Sha256.digest_from mid m));
+    Alcotest.(check string)
+      (Printf.sprintf "streamed after the block, %d bytes" n)
+      expected
+      (streamed [ block; m ])
+  done
+
+(* ---- MAC inputs against the Printf builders they replaced ---- *)
+
+module Pb = Fortress_replication.Pb
+module Smr = Fortress_replication.Smr
+
+(* the payload builders as they were, kept as the reference *)
+module Printf_payload = struct
+  let pb_reply ~id ~response ~server_index =
+    Printf.sprintf "pb-reply|%s|%s|%d" id response server_index
+
+  let smr_reply ~id ~response ~server_index ~view =
+    Printf.sprintf "smr-reply|%s|%s|%d|%d" id response server_index view
+
+  let request_digest ~id ~cmd = Sha256.digest (Printf.sprintf "%s|%s" id cmd)
+
+  let over_sign ~(reply : Pb.reply) ~proxy_index =
+    Printf.sprintf "fortress-oversign|%s|%s|%d|%s|%d" reply.Pb.request_id reply.Pb.response
+      reply.Pb.server_index
+      (Sign.signature_to_hex reply.Pb.signature)
+      proxy_index
+
+  let smr_over_sign ~(reply : Smr.reply) ~proxy_index =
+    Printf.sprintf "fortress-smr-oversign|%s|%s|%d|%d|%s|%d" reply.Smr.request_id
+      reply.Smr.response reply.Smr.server_index reply.Smr.view
+      (Sign.signature_to_hex reply.Smr.signature)
+      proxy_index
+end
+
+(* ids and responses: empty, holding the separator, non-ASCII, or plain *)
+let gen_text =
+  QCheck.Gen.(
+    let plain = string_size ~gen:printable (int_bound 12) in
+    frequency
+      [
+        (1, return "");
+        (1, map (fun (a, b) -> a ^ "|" ^ b) (pair plain plain));
+        (1, string_size ~gen:(map Char.chr (int_range 128 255)) (int_range 1 12));
+        (2, plain);
+      ])
+
+(* int fields: negative, 0, the extremes, or anything *)
+let gen_int_field =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, oneofl [ 0; max_int; min_int ]);
+        (2, int_range (-1_000_000) (-1));
+        (2, small_nat);
+        (1, int);
+      ])
+
+(* a fixed-seed sample of the field generators holds every edge case *)
+let test_payload_generators_reach_edges () =
+  let rand = Random.State.make [| 2024 |] in
+  let texts = List.init 500 (fun _ -> gen_text rand) in
+  let ints = List.init 500 (fun _ -> gen_int_field rand) in
+  List.iter
+    (fun (what, p) -> Alcotest.(check bool) what true (List.exists p texts))
+    [
+      ("empty text", String.equal "");
+      ("text holding |", fun s -> String.contains s '|');
+      ("non-ASCII text", String.exists (fun c -> Char.code c >= 128));
+    ];
+  List.iter
+    (fun (what, p) -> Alcotest.(check bool) what true (List.exists p ints))
+    [ ("negative", fun n -> n < 0); ("zero", ( = ) 0); ("max_int", ( = ) max_int) ]
+
+let prop_payloads_match_printf =
+  QCheck.Test.make ~count:1000 ~name:"each payload builder equals its Printf reference"
+    (QCheck.make
+       ~print:
+         QCheck.Print.(
+           pair (pair string string) (quad int int int int))
+       QCheck.Gen.(
+         pair (pair gen_text gen_text)
+           (quad gen_int_field gen_int_field gen_int_field (int_bound 1000))))
+    (fun ((id, response), (server_index, view, proxy_index, seed)) ->
+      let signature = Sign.forge (Fortress_util.Prng.create ~seed) in
+      let pb = { Pb.request_id = id; response; server_index; signature } in
+      let smr = { Smr.request_id = id; response; server_index; view; signature } in
+      Pb.reply_payload ~id ~response ~server_index
+      = Printf_payload.pb_reply ~id ~response ~server_index
+      && Smr.reply_payload ~id ~response ~server_index ~view
+         = Printf_payload.smr_reply ~id ~response ~server_index ~view
+      && Smr.request_digest ~id ~cmd:response = Printf_payload.request_digest ~id ~cmd:response
+      && Fortress_core.Message.over_sign_payload ~reply:pb ~proxy_index
+         = Printf_payload.over_sign ~reply:pb ~proxy_index
+      && Fortress_core.Smr_fortress.over_sign_payload ~reply:smr ~proxy_index
+         = Printf_payload.smr_over_sign ~reply:smr ~proxy_index)
+
+let test_payload_ints () =
+  List.iter
+    (fun n ->
+      let p = Payload.create "n" ~fields:(Payload.int_width n) in
+      Payload.add_int p n;
+      Alcotest.(check string) (string_of_int n) (Printf.sprintf "n|%d" n) (Payload.contents p))
+    [ 0; 1; -1; 9; 10; -9; -10; 99; 100; -100; max_int; min_int; max_int - 1; min_int + 1 ]
+
+let test_payload_width_is_exact () =
+  let p = Payload.create "t" ~fields:(Payload.str_width "ab") in
+  Alcotest.check_raises "a field short"
+    (Invalid_argument "Payload: fewer bytes than the declared fields") (fun () ->
+      ignore (Payload.contents p));
+  Payload.add_str p "ab";
+  Alcotest.check_raises "a field past the width"
+    (Invalid_argument "Payload: more bytes than the declared fields") (fun () ->
+      Payload.add_int p 0);
+  Alcotest.(check string) "filled" "t|ab" (Payload.contents p)
+
 (* ---- what a signature costs and what a key keeps alive ---- *)
 
 (* minor-heap words per call of [f], over [n] calls after one warm-up *)
@@ -397,16 +534,19 @@ let check_words what words bound =
     (words <= bound)
 
 let test_digest_allocation () =
-  (* the context, its schedule and the 32-byte result; no boxed word *)
+  (* the 32-byte result alone: no context, schedule, block or boxed word *)
   let msg = String.make 120 'x' in
-  check_words "120-byte digest" (minor_words_per_call 1000 (fun () -> Sha256.digest msg)) 128.0
+  check_words "120-byte digest" (minor_words_per_call 1000 (fun () -> Sha256.digest msg)) 8.0
 
 let test_sign_verify_allocation () =
+  (* the inner and the outer digest's results *)
   let sk, pk = Sign.generate (prng ()) in
   let msg = String.make 120 'x' in
-  check_words "120-byte sign + verify"
-    (minor_words_per_call 1000 (fun () -> Sign.verify pk ~msg (Sign.sign sk msg)))
-    512.0
+  let signature = Sign.sign sk msg in
+  check_words "120-byte sign" (minor_words_per_call 1000 (fun () -> Sign.sign sk msg)) 32.0;
+  check_words "120-byte verify"
+    (minor_words_per_call 1000 (fun () -> Sign.verify pk ~msg signature))
+    32.0
 
 let test_signature_to_hex_allocation () =
   let sk, _ = Sign.generate (prng ()) in
@@ -476,6 +616,7 @@ let qcheck_tests =
     prop_midstate_rejects_partial_blocks;
     prop_hmac_matches_reference;
     prop_to_hex_matches_reference;
+    prop_payloads_match_printf;
   ]
 
 let () =
@@ -491,6 +632,15 @@ let () =
           Alcotest.test_case "streaming across blocks" `Quick test_sha256_streaming_across_blocks;
           Alcotest.test_case "finalize once" `Quick test_sha256_finalize_once;
           Alcotest.test_case "padding boundaries" `Quick test_sha256_length_55_56_57;
+          Alcotest.test_case "one-shot equals streaming at every length" `Quick
+            test_one_shot_matches_streaming_at_every_length;
+        ] );
+      ( "payload",
+        [
+          Alcotest.test_case "ints render as %d" `Quick test_payload_ints;
+          Alcotest.test_case "width is exact" `Quick test_payload_width_is_exact;
+          Alcotest.test_case "generators reach the edge cases" `Quick
+            test_payload_generators_reach_edges;
         ] );
       ( "hmac",
         [

@@ -202,6 +202,45 @@ let test_pb_basic_request () =
   let indices = List.sort compare (List.map (fun r -> r.Pb.server_index) rs) in
   Alcotest.(check (list int)) "distinct signers" [ 0; 1; 2 ] indices
 
+(* A primary that completes a request three proxies forwarded signs its
+   reply once and sends that one value to all three. *)
+let test_pb_primary_signs_once_for_every_waiter () =
+  let module Profiler = Fortress_prof.Profiler in
+  let engine = Engine.create ~prng:(Prng.create ~seed:3) () in
+  let addresses = Array.init 3 Address.make in
+  let proxies = Array.init 3 (fun i -> Address.make (10 + i)) in
+  let secret, _ = Sign.generate (Prng.create ~seed:4) in
+  let sent = ref [] in
+  let primary =
+    Pb.create ~engine ~config:Pb.default_config ~index:0 ~service:Services.kv ~secret
+      ~self:addresses.(0) ~addresses (fun ~dst msg -> sent := (dst, msg) :: !sent)
+  in
+  Pb.start primary;
+  Array.iter
+    (fun p -> Pb.handle primary ~src:p (Pb.Request { id = "r1"; cmd = "put k v"; reply_to = p }))
+    proxies;
+  Profiler.reset ();
+  Profiler.enable ();
+  let hmacs =
+    Fun.protect
+      ~finally:(fun () ->
+        Profiler.disable ();
+        Profiler.reset ())
+      (fun () ->
+        (* a backup's ack completes the request *)
+        Pb.handle primary ~src:addresses.(1) (Pb.Update_ack { seq = 1; index = 1 });
+        List.find_opt (fun (e : Profiler.entry) -> e.name = "crypto.hmac") (Profiler.snapshot ())
+        |> Option.fold ~none:0 ~some:(fun (e : Profiler.entry) -> e.count))
+  in
+  Alcotest.(check int) "one signature" 1 hmacs;
+  let replies = List.filter_map (function dst, Pb.Reply r -> Some (dst, r) | _ -> None) !sent in
+  Alcotest.(check (list int)) "a reply to each proxy" [ 10; 11; 12 ]
+    (List.sort compare (List.map (fun (dst, _) -> Address.id dst) replies));
+  match replies with
+  | (_, r) :: rest ->
+      List.iter (fun (_, r') -> Alcotest.(check bool) "the same reply value" true (r' == r)) rest
+  | [] -> Alcotest.fail "no reply"
+
 let test_pb_dedup () =
   let c = make_pb_cluster () in
   pb_submit c ~id:"r1" ~cmd:"incr-like put k v";
@@ -953,6 +992,8 @@ let () =
         [
           Alcotest.test_case "basic request" `Quick test_pb_basic_request;
           Alcotest.test_case "request dedup" `Quick test_pb_dedup;
+          Alcotest.test_case "primary signs once for every waiter" `Quick
+            test_pb_primary_signs_once_for_every_waiter;
           Alcotest.test_case "state convergence" `Quick test_pb_state_convergence;
           Alcotest.test_case "nondeterministic service converges" `Quick
             test_pb_nondeterministic_service_converges;
